@@ -366,8 +366,7 @@ public:
         telemetry::set_active(nullptr);
         try {
             util::AtomicFile file(path_);
-            trace_.write_json(file.stream());
-            file.stream() << '\n';
+            file.stream() << trace_.to_json() << '\n';
             file.commit();
             ok_ = true;
         } catch (const std::exception& e) {

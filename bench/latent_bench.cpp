@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
             const std::uint64_t seed = est_seed + 101 * r;
             {
                 rng::Engine eng(seed);
-                core::IsDiagnostics d;
+                estimators::IsDiagnostics d;
                 const auto res = core::NofisEstimator::importance_estimate(
                     stack, *tc, eng, cfg.n_is, &d, cfg.defensive_weight,
                     cfg.defensive_sigma);
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
             }
             {
                 rng::Engine eng(seed);
-                core::IsDiagnostics d;
+                estimators::IsDiagnostics d;
                 latent::LatentReport rep;
                 const auto res = latent::explore_and_estimate(
                     stack, guarded, eng, cfg.n_is, cfg.tau,

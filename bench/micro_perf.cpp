@@ -23,9 +23,9 @@ namespace {
 using namespace nofis;
 
 /// Kernel-variant benches take the flavour as range arg: 0 = scalar
-/// (reference kernels + legacy tape inference), 1 = simd (fused +
-/// vectorized). Results are bitwise identical; the ratio is the PR's
-/// speedup claim.
+/// (serial reference table), 1 = simd (vectorized table). Both run the
+/// same fused value path and produce bitwise-identical results; the ratio
+/// is the vectorization speedup.
 void apply_kernel_arg(std::int64_t arg) {
     linalg::kernels::set_choice(arg == 0 ? linalg::kernels::Choice::kScalar
                                          : linalg::kernels::Choice::kSimd);
@@ -54,9 +54,9 @@ BENCHMARK(BM_MatMul)
 // One full training epoch of the final NOFIS block, shaped like the
 // NofisEstimator loop under freeze_previous: frozen blocks transport the
 // batch on the pure-value path, the trained block builds the autodiff
-// graph, and the loss backward-sweeps it. Under `simd` the frozen
-// transport runs the fused tape-free kernels; under `scalar` it takes the
-// legacy Var round-trip — the ratio is the train-epoch speedup claim.
+// graph, and the loss backward-sweeps it. The frozen transport runs the
+// fused tape-free kernels under either flavour; the ratio is what the
+// vectorized table buys one train epoch.
 void BM_TrainEpoch(benchmark::State& state) {
     apply_kernel_arg(state.range(0));
     parallel::set_num_threads(1);

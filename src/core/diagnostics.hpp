@@ -39,21 +39,6 @@ struct StageDiagnostics {
     std::size_t skipped_epochs = 0;
 };
 
-/// Diagnostics for the final importance-sampling estimate.
-struct IsDiagnostics {
-    double max_weight = 0.0;        ///< largest p/q ratio observed
-    double effective_sample_size = 0.0;  ///< (Σw)² / Σw² over hit samples
-    std::size_t hits = 0;           ///< samples that landed inside Ω
-    std::size_t draws = 0;          ///< total proposal draws (N_IS)
-
-    // Proposal-quality early warnings, computed over the *raw* importance
-    // weights p/q of ALL draws (no failure indicator). A collapsing
-    // proposal shows up here as ess_all ≪ draws and weight_cv ≫ 1 long
-    // before the hit-restricted ESS reacts.
-    double ess_all = 0.0;    ///< (Σw)² / Σw² over every proposal draw
-    double weight_cv = 0.0;  ///< std(w) / mean(w) over every proposal draw
-};
-
 /// End-to-end health of one NofisEstimator::run: g-evaluation faults, stage
 /// rollbacks, and the final proposal-quality numbers in one place. Printed
 /// by the CLI after training and carried in RunResult for callers that

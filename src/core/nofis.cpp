@@ -109,7 +109,7 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
         .add(cfg.retry_scale_cap_factor)
         .add(cfg.min_inside_fraction)
         .add(cfg.grad_explode_factor)
-        .add(static_cast<std::uint64_t>(cfg.grad_clip_mode))
+        .add(std::uint64_t{0})  // retired grad-clip mode: always global norm
         .add(cfg.checkpoint.salt);
     return fp.value();
 }
@@ -283,10 +283,8 @@ NofisEstimator::RunResult NofisEstimator::run(
             stage_lr = resume.stage_lr;
         }
 
-        std::size_t param_count = 0;
-        for (const auto& p : train_params) param_count += p.value().size();
-        const double explode_limit = nn::grad_explode_limit(
-            cfg_.grad_clip_mode, clip, cfg_.grad_explode_factor, param_count);
+        const double explode_limit =
+            nn::grad_explode_limit(clip, cfg_.grad_explode_factor);
 
         if (resume.start_epoch == 0) {
             diag.epoch_loss.clear();
@@ -441,8 +439,7 @@ NofisEstimator::RunResult NofisEstimator::run(
             phase.emplace("backward");
             opt.zero_grad();
             graph_loss.backward();
-            const double grad_norm =
-                opt.clip_gradients(cfg_.grad_clip_mode, clip);
+            const double grad_norm = opt.clip_grad_norm(clip);
             phase.reset();
             if (abort_on_divergence &&
                 (!std::isfinite(grad_norm) || grad_norm > explode_limit))
@@ -528,7 +525,7 @@ NofisEstimator::RunResult NofisEstimator::run(
     }
 
     // Final importance-sampling estimate with q_MK (Eq. 2), still guarded.
-    IsDiagnostics is_diag;
+    estimators::IsDiagnostics is_diag;
     EstimateResult est;
     if (result.interrupted) {
         // No final IS was spent; report the g-budget consumed so far and
@@ -617,8 +614,8 @@ NofisEstimator::RunResult NofisEstimator::run(
 EstimateResult NofisEstimator::importance_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
-    std::size_t n_is, IsDiagnostics* diag, double defensive_weight,
-    double defensive_sigma) {
+    std::size_t n_is, estimators::IsDiagnostics* diag,
+    double defensive_weight, double defensive_sigma) {
     // The final Eq. (2) estimate — one span whether reached from run() (it
     // nests under the run's trace) or standalone via the CLI reuse path.
     const telemetry::ScopedSpan is_span("final_is");
@@ -672,59 +669,22 @@ EstimateResult NofisEstimator::importance_estimate(
                 lq_wide = wide.log_pdf(row);
                 ++jf;
             }
-            const double a = lw_flow + lq_flow;
-            const double b = lw_wide + lq_wide;
-            const double m = std::max(a, b);
-            log_q[r] = m + std::log(std::exp(a - m) + std::exp(b - m));
+            log_q[r] =
+                estimators::log_add_exp(lw_flow + lq_flow, lw_wide + lq_wide);
         }
     }
 
     // Batched g over all proposal draws (parallel, row-order call indices);
-    // every reduction below stays serial in row order, so the estimate is
-    // bitwise identical at any thread count.
+    // the reduction stays serial in row order, so the estimate is bitwise
+    // identical at any thread count.
     const std::vector<double> g_vals = counted.g_rows(z);
-
-    double total = 0.0;
-    IsDiagnostics d;
-    d.draws = n_is;
-    double sum_w = 0.0;
-    double sum_w2 = 0.0;
-    // Raw-weight moments over ALL draws (no failure indicator): the
-    // standard early warnings for proposal collapse — a low all-draw ESS or
-    // a large weight CV flags a mismatched q long before the hit-restricted
-    // ESS reacts.
-    double all_sum_w = 0.0;
-    double all_sum_w2 = 0.0;
-    for (std::size_t r = 0; r < n_is; ++r) {
-        const auto zr = z.row_span(r);
-        const double raw_w =
-            std::exp(rng::standard_normal_log_pdf(zr) - log_q[r]);
-        all_sum_w += raw_w;
-        all_sum_w2 += raw_w * raw_w;
-        const double gv = g_vals[r];
-        if (gv > 0.0) continue;
-        total += raw_w;
-        sum_w += raw_w;
-        sum_w2 += raw_w * raw_w;
-        d.max_weight = std::max(d.max_weight, raw_w);
-        ++d.hits;
-    }
+    const estimators::IsEstimate is =
+        estimators::importance_reduce(z, log_q, g_vals);
     EstimateResult res;
-    res.p_hat = total / static_cast<double>(n_is);
+    res.p_hat = is.p_hat;
     res.calls = counted.calls();
     res.failed = !std::isfinite(res.p_hat);
-    d.effective_sample_size =
-        sum_w2 > 0.0 ? (sum_w * sum_w) / sum_w2 : 0.0;
-    d.ess_all =
-        all_sum_w2 > 0.0 ? (all_sum_w * all_sum_w) / all_sum_w2 : 0.0;
-    if (n_is > 0 && all_sum_w > 0.0) {
-        const double mean_w = all_sum_w / static_cast<double>(n_is);
-        const double var_w =
-            std::max(all_sum_w2 / static_cast<double>(n_is) - mean_w * mean_w,
-                     0.0);
-        d.weight_cv = std::sqrt(var_w) / mean_w;
-    }
-    if (diag != nullptr) *diag = d;
+    if (diag != nullptr) *diag = is.diag;
     return res;
 }
 

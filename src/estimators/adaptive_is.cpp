@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "estimators/importance.hpp"
 #include "rng/normal.hpp"
 
 namespace nofis::estimators {
@@ -58,20 +59,15 @@ EstimateResult AdaptiveIsEstimator::estimate(const RareEventProblem& raw,
     // Final IS estimate with the adapted proposal.
     const linalg::Matrix x = proposal.sample(eng, cfg_.final_samples);
     const std::vector<double> gv = problem.g_rows(x);
-    double total = 0.0;
-    std::size_t hits = 0;
-    for (std::size_t r = 0; r < gv.size(); ++r) {
-        if (gv[r] > 0.0) continue;
-        const auto xr = x.row_span(r);
-        total += std::exp(rng::standard_normal_log_pdf(xr) -
-                          proposal.log_pdf(xr));
-        ++hits;
-    }
+    std::vector<double> log_q(x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        log_q[r] = proposal.log_pdf(x.row_span(r));
+    const IsEstimate is = importance_reduce(x, log_q, gv);
 
     EstimateResult res;
-    res.p_hat = total / static_cast<double>(cfg_.final_samples);
+    res.p_hat = is.p_hat;
     res.calls = problem.calls();
-    if (hits == 0) {
+    if (is.diag.hits == 0) {
         // The adapted proposal never reached the failure region: the classic
         // Adapt-IS collapse mode that Table 1 marks with huge errors.
         res.detail = "no failure hits with adapted proposal";

@@ -9,39 +9,19 @@ namespace nofis::flow {
 AdditiveCoupling::AdditiveCoupling(std::size_t dim, bool pass_first_half,
                                    std::vector<std::size_t> hidden,
                                    rng::Engine& eng)
-    : dim_(dim),
-      net_([&] {
-          if (dim < 2)
-              throw std::invalid_argument(
-                  "AdditiveCoupling: dim must be >= 2");
-          const std::size_t half = (dim + 1) / 2;
-          const std::size_t na = pass_first_half ? half : dim - half;
-          std::vector<std::size_t> layout;
-          layout.push_back(na);
-          for (auto h : hidden) layout.push_back(h);
-          layout.push_back(dim - na);
-          return nn::MLP(layout, nn::Activation::kTanh, eng,
-                         /*out_gain=*/0.0);
-      }()) {
-    const std::size_t half = (dim + 1) / 2;
-    if (pass_first_half) {
-        for (std::size_t i = 0; i < half; ++i) idx_a_.push_back(i);
-        for (std::size_t i = half; i < dim; ++i) idx_b_.push_back(i);
-    } else {
-        for (std::size_t i = half; i < dim; ++i) idx_a_.push_back(i);
-        for (std::size_t i = 0; i < half; ++i) idx_b_.push_back(i);
-    }
-}
+    : mask_(dim, pass_first_half, "AdditiveCoupling"),
+      net_(mask_.conditioner_layout(hidden, 1), nn::Activation::kTanh, eng,
+           /*out_gain=*/0.0) {}
 
 FlowLayer::ForwardVar AdditiveCoupling::forward(const autodiff::Var& x) const {
     using namespace autodiff;
-    if (x.cols() != dim_)
+    if (x.cols() != mask_.dim)
         throw std::invalid_argument("AdditiveCoupling::forward: dim mismatch");
-    Var xa = select_cols(x, idx_a_);
-    Var xb = select_cols(x, idx_b_);
+    Var xa = select_cols(x, mask_.pass);
+    Var xb = select_cols(x, mask_.transform);
     Var t = net_.forward(xa);
     Var yb = add(xb, t);
-    Var y = combine_cols(xa, idx_a_, yb, idx_b_, dim_);
+    Var y = combine_cols(xa, mask_.pass, yb, mask_.transform, mask_.dim);
     // Volume preserving: log|det J| = 0 for every sample.
     Var log_det(linalg::Matrix(x.rows(), 1));
     return {y, log_det};
@@ -49,25 +29,25 @@ FlowLayer::ForwardVar AdditiveCoupling::forward(const autodiff::Var& x) const {
 
 linalg::Matrix AdditiveCoupling::forward_values(
     const linalg::Matrix& x, std::vector<double>& log_det) const {
-    if (x.cols() != dim_ || log_det.size() != x.rows())
+    if (x.cols() != mask_.dim || log_det.size() != x.rows())
         throw std::invalid_argument("AdditiveCoupling::forward_values");
-    const linalg::Matrix t = net_.predict(x.select_cols(idx_a_));
+    const linalg::Matrix t = net_.predict(x.select_cols(mask_.pass));
     linalg::Matrix y = x;
     for (std::size_t r = 0; r < x.rows(); ++r)
-        for (std::size_t j = 0; j < idx_b_.size(); ++j)
-            y(r, idx_b_[j]) += t(r, j);
+        for (std::size_t j = 0; j < mask_.transform.size(); ++j)
+            y(r, mask_.transform[j]) += t(r, j);
     return y;
 }
 
 linalg::Matrix AdditiveCoupling::inverse_values(
     const linalg::Matrix& y, std::vector<double>& log_det) const {
-    if (y.cols() != dim_ || log_det.size() != y.rows())
+    if (y.cols() != mask_.dim || log_det.size() != y.rows())
         throw std::invalid_argument("AdditiveCoupling::inverse_values");
-    const linalg::Matrix t = net_.predict(y.select_cols(idx_a_));
+    const linalg::Matrix t = net_.predict(y.select_cols(mask_.pass));
     linalg::Matrix x = y;
     for (std::size_t r = 0; r < y.rows(); ++r)
-        for (std::size_t j = 0; j < idx_b_.size(); ++j)
-            x(r, idx_b_[j]) -= t(r, j);
+        for (std::size_t j = 0; j < mask_.transform.size(); ++j)
+            x(r, mask_.transform[j]) -= t(r, j);
     return x;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "flow/coupling_mask.hpp"
 #include "flow/layer.hpp"
 #include "nn/mlp.hpp"
 
@@ -16,7 +17,7 @@ public:
     AdditiveCoupling(std::size_t dim, bool pass_first_half,
                      std::vector<std::size_t> hidden, rng::Engine& eng);
 
-    std::size_t dim() const noexcept override { return dim_; }
+    std::size_t dim() const noexcept override { return mask_.dim; }
 
     ForwardVar forward(const autodiff::Var& x) const override;
     linalg::Matrix forward_values(const linalg::Matrix& x,
@@ -32,9 +33,7 @@ public:
     }
 
 private:
-    std::size_t dim_;
-    std::vector<std::size_t> idx_a_;
-    std::vector<std::size_t> idx_b_;
+    CouplingMask mask_;
     nn::MLP net_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "flow/coupling_mask.hpp"
 #include "flow/layer.hpp"
 #include "nn/mlp.hpp"
 
@@ -27,7 +28,7 @@ public:
                    std::vector<std::size_t> hidden, rng::Engine& eng,
                    double scale_cap = 2.0);
 
-    std::size_t dim() const noexcept override { return dim_; }
+    std::size_t dim() const noexcept override { return mask_.dim; }
 
     /// Differentiable forward: returns y and the per-sample log|det J|
     /// (n x 1) as graph nodes.
@@ -53,19 +54,15 @@ public:
     double scale_cap() const noexcept override { return scale_cap_; }
     void set_scale_cap(double cap) override { scale_cap_ = cap; }
 
-    std::span<const std::size_t> pass_indices() const noexcept { return idx_a_; }
+    std::span<const std::size_t> pass_indices() const noexcept {
+        return mask_.pass;
+    }
     std::span<const std::size_t> transform_indices() const noexcept {
-        return idx_b_;
+        return mask_.transform;
     }
 
 private:
-    /// Computes bounded log-scale s and shift t (value-only) from x_A.
-    void conditioner_values(const linalg::Matrix& xa, linalg::Matrix& s,
-                            linalg::Matrix& t) const;
-
-    std::size_t dim_;
-    std::vector<std::size_t> idx_a_;  // pass-through coordinates
-    std::vector<std::size_t> idx_b_;  // transformed coordinates
+    CouplingMask mask_;
     double scale_cap_;
     nn::MLP net_;
 };

@@ -17,27 +17,15 @@ namespace kernels = linalg::kernels;
 /// tanh+exp — so the bar sits below kParallelAffineMinElems.
 constexpr std::size_t kParallelRqsMinElems = 1u << 10;
 
-std::vector<std::size_t> make_hidden_layout(std::size_t in,
-                                            std::vector<std::size_t> hidden,
-                                            std::size_t out) {
-    std::vector<std::size_t> sizes;
-    sizes.push_back(in);
-    for (auto h : hidden) sizes.push_back(h);
-    sizes.push_back(out);
-    return sizes;
-}
-
 }  // namespace
 
 RqsCoupling::RqsCoupling(std::size_t dim, bool pass_first_half,
                          std::vector<std::size_t> hidden, rng::Engine& eng,
                          std::size_t num_bins, double tail_bound)
-    : dim_(dim),
+    : mask_(dim, pass_first_half, "RqsCoupling"),
       num_bins_(num_bins),
       tail_bound_(tail_bound),
       net_([&] {
-          if (dim < 2)
-              throw std::invalid_argument("RqsCoupling: dim must be >= 2");
           if (num_bins == 0 || num_bins > kernels::kMaxRqsBins)
               throw std::invalid_argument(
                   "RqsCoupling: num_bins must be in [1, " +
@@ -45,52 +33,35 @@ RqsCoupling::RqsCoupling(std::size_t dim, bool pass_first_half,
           if (!std::isfinite(tail_bound) || tail_bound <= 0.0)
               throw std::invalid_argument(
                   "RqsCoupling: tail_bound must be finite and positive");
-          const std::size_t half = (dim + 1) / 2;
-          const std::size_t na = pass_first_half ? half : dim - half;
-          const std::size_t nb = dim - na;
-          return nn::MLP(
-              make_hidden_layout(na, std::move(hidden),
-                                 nb * (3 * num_bins + 1)),
-              nn::Activation::kTanh, eng, /*out_gain=*/0.0);
-      }()) {
-    const std::size_t half = (dim + 1) / 2;
-    if (pass_first_half) {
-        for (std::size_t i = 0; i < half; ++i) idx_a_.push_back(i);
-        for (std::size_t i = half; i < dim; ++i) idx_b_.push_back(i);
-    } else {
-        for (std::size_t i = half; i < dim; ++i) idx_a_.push_back(i);
-        for (std::size_t i = 0; i < half; ++i) idx_b_.push_back(i);
-    }
-}
+          return nn::MLP(mask_.conditioner_layout(hidden, 3 * num_bins + 1),
+                         nn::Activation::kTanh, eng, /*out_gain=*/0.0);
+      }()) {}
 
 FlowLayer::ForwardVar RqsCoupling::forward(const autodiff::Var& x) const {
     using namespace autodiff;
-    if (x.cols() != dim_)
+    if (x.cols() != mask_.dim)
         throw std::invalid_argument("RqsCoupling::forward: dim mismatch");
-    Var xa = select_cols(x, idx_a_);
-    Var xb = select_cols(x, idx_b_);
+    Var xa = select_cols(x, mask_.pass);
+    Var xb = select_cols(x, mask_.transform);
     Var h = net_.forward(xa);
     auto [yb, log_det] = rqs_forward(xb, h, num_bins_, tail_bound_);
-    Var y = combine_cols(xa, idx_a_, yb, idx_b_, dim_);
+    Var y = combine_cols(xa, mask_.pass, yb, mask_.transform, mask_.dim);
     return {y, log_det};
 }
 
 linalg::Matrix RqsCoupling::forward_values(
     const linalg::Matrix& x, std::vector<double>& log_det) const {
-    if (x.cols() != dim_)
+    if (x.cols() != mask_.dim)
         throw std::invalid_argument("RqsCoupling::forward_values: dim");
     if (log_det.size() != x.rows())
         throw std::invalid_argument("RqsCoupling::forward_values: log_det");
 
-    // Both kernel flavours resolve to the same spline implementation, so
-    // there is no scalar/simd branch here (unlike AffineCoupling, whose
-    // scalar flavour keeps the legacy pre-kernel loop).
-    const std::size_t nb = idx_b_.size();
-    const linalg::Matrix h = net_.predict(x.select_cols(idx_a_));
+    const std::size_t nb = mask_.transform.size();
+    const linalg::Matrix h = net_.predict(x.select_cols(mask_.pass));
     linalg::Matrix y = x;
     auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::rqs_fwd_rows(x.data(), h.data(), idx_b_.data(), nb,
-                              num_bins_, tail_bound_, dim_, y.data(),
+        kernels::rqs_fwd_rows(x.data(), h.data(), mask_.transform.data(), nb,
+                              num_bins_, tail_bound_, mask_.dim, y.data(),
                               log_det.data(), r0, r1);
     };
     if (x.rows() * nb >= kParallelRqsMinElems)
@@ -102,18 +73,18 @@ linalg::Matrix RqsCoupling::forward_values(
 
 linalg::Matrix RqsCoupling::inverse_values(
     const linalg::Matrix& y, std::vector<double>& log_det) const {
-    if (y.cols() != dim_)
+    if (y.cols() != mask_.dim)
         throw std::invalid_argument("RqsCoupling::inverse_values: dim");
     if (log_det.size() != y.rows())
         throw std::invalid_argument("RqsCoupling::inverse_values: log_det");
 
     // y_A == x_A, so the conditioner sees the same input as in forward.
-    const std::size_t nb = idx_b_.size();
-    const linalg::Matrix h = net_.predict(y.select_cols(idx_a_));
+    const std::size_t nb = mask_.transform.size();
+    const linalg::Matrix h = net_.predict(y.select_cols(mask_.pass));
     linalg::Matrix x = y;
     auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::rqs_inv_rows(y.data(), h.data(), idx_b_.data(), nb,
-                              num_bins_, tail_bound_, dim_, x.data(),
+        kernels::rqs_inv_rows(y.data(), h.data(), mask_.transform.data(), nb,
+                              num_bins_, tail_bound_, mask_.dim, x.data(),
                               log_det.data(), r0, r1);
     };
     if (y.rows() * nb >= kParallelRqsMinElems)

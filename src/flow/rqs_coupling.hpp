@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "flow/coupling_mask.hpp"
 #include "flow/layer.hpp"
 #include "nn/mlp.hpp"
 
@@ -31,7 +32,7 @@ public:
                 std::vector<std::size_t> hidden, rng::Engine& eng,
                 std::size_t num_bins = 8, double tail_bound = 3.0);
 
-    std::size_t dim() const noexcept override { return dim_; }
+    std::size_t dim() const noexcept override { return mask_.dim; }
     std::size_t num_bins() const noexcept { return num_bins_; }
     double tail_bound() const noexcept { return tail_bound_; }
 
@@ -53,18 +54,16 @@ public:
     }
 
     std::span<const std::size_t> pass_indices() const noexcept {
-        return idx_a_;
+        return mask_.pass;
     }
     std::span<const std::size_t> transform_indices() const noexcept {
-        return idx_b_;
+        return mask_.transform;
     }
 
 private:
-    std::size_t dim_;
+    CouplingMask mask_;
     std::size_t num_bins_;
     double tail_bound_;
-    std::vector<std::size_t> idx_a_;  // pass-through coordinates
-    std::vector<std::size_t> idx_b_;  // transformed coordinates
     nn::MLP net_;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 
-#include "core/diagnostics.hpp"
 #include "dist/gaussian_mixture.hpp"
+#include "estimators/importance.hpp"
 #include "estimators/problem.hpp"
 #include "flow/coupling_stack.hpp"
 
@@ -25,6 +25,6 @@ estimators::EstimateResult defensive_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
     std::size_t n_draws, const dist::GaussianMixture& refined, double alpha,
-    core::IsDiagnostics* diag = nullptr);
+    estimators::IsDiagnostics* diag = nullptr);
 
 }  // namespace nofis::latent

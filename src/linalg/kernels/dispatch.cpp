@@ -1,7 +1,6 @@
 // Runtime dispatch for the kernel layer: resolves the active flavour from
 // set_choice() / the NOFIS_KERNELS environment variable, and splices the
-// best available intrinsic backend (AVX2 or NEON) over the portable
-// vectorized table. The public kernel entry points in kernels.hpp forward
+// AVX2 backend (when the CPU has it) over the portable vectorized table. The public kernel entry points in kernels.hpp forward
 // through the active table.
 
 #include <atomic>
@@ -50,8 +49,6 @@ const SimdResolution& simd_resolution() {
     static const SimdResolution r = [] {
         if (const Table* avx2 = avx2_table())
             return SimdResolution{splice(portable_table(), avx2), "avx2"};
-        if (const Table* neon = neon_table())
-            return SimdResolution{splice(portable_table(), neon), "neon"};
         return SimdResolution{portable_table(), "portable"};
     }();
     return r;
@@ -111,8 +108,6 @@ const char* choice_name() noexcept {
 const char* simd_backend() noexcept {
     return detail::simd_resolution().backend;
 }
-
-bool simd_active() noexcept { return active() == Choice::kSimd; }
 
 void matmul_rows(const double* lhs, const double* rhs, double* out,
                  std::size_t r0, std::size_t r1, std::size_t k,

@@ -10,12 +10,16 @@ namespace nofis::linalg::kernels {
 ///
 /// Every kernel exists in two observable flavours selected at runtime:
 ///
-///   * `scalar` — the serial reference implementation. Plain loops with the
-///     exact operation order the pre-kernel code used; this is the honest
-///     baseline every fused/SIMD kernel is bitwise-checked against.
-///   * `simd`   — register-blocked, vectorized variants (AVX2 or NEON
-///     intrinsics when the CPU has them, portable `#pragma omp simd`-style
-///     loops otherwise) plus the fused inference kernels.
+///   * `scalar` — the serial reference table. Plain loops with the exact
+///     operation order of the autodiff tape; this is the honest baseline
+///     every vectorized kernel is bitwise-checked against.
+///   * `simd`   — register-blocked, vectorized variants (AVX2 intrinsics
+///     when the CPU has them, portable `#pragma omp simd`-style loops
+///     otherwise).
+///
+/// Both flavours run the same value path (MLP::predict and the flow
+/// layers' forward_values/inverse_values call the fused row kernels); the
+/// choice only selects which table those calls dispatch to.
 ///
 /// Determinism contract: for every kernel the per-output-element operation
 /// and accumulation order is IDENTICAL across flavours and SIMD backends —
@@ -37,8 +41,8 @@ namespace nofis::linalg::kernels {
 /// results.
 enum class Choice {
     kAuto,    ///< resolve to kSimd (best available backend)
-    kScalar,  ///< serial reference kernels + legacy tape inference path
-    kSimd,    ///< fused + vectorized kernels
+    kScalar,  ///< serial reference kernels
+    kSimd,    ///< vectorized kernels
 };
 
 /// Resolved active choice — never kAuto.
@@ -56,11 +60,8 @@ std::optional<Choice> parse_choice(const std::string& name) noexcept;
 const char* choice_name() noexcept;
 
 /// SIMD backend the `simd` flavour dispatches to on this machine:
-/// "avx2", "neon", or "portable".
+/// "avx2" or "portable".
 const char* simd_backend() noexcept;
-
-/// True when the active flavour is the fused/vectorized one.
-bool simd_active() noexcept;
 
 /// Activation applied by the fused linear kernel (mirrors nn::Activation;
 /// kept separate so linalg does not depend on nn).

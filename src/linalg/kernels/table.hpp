@@ -54,11 +54,10 @@ const Table& scalar_table();
 /// Portable vectorized kernels — every slot non-null.
 const Table& portable_table();
 
-/// Intrinsic backends: non-null only when compiled for this architecture
-/// AND the CPU supports the ISA at runtime. A returned table may leave
-/// slots null; dispatch falls back to the portable table per slot.
+/// Intrinsic AVX2 backend: non-null only when compiled for x86-64 AND the
+/// CPU supports AVX2 at runtime. The returned table may leave slots null;
+/// dispatch falls back to the portable table per slot.
 const Table* avx2_table();
-const Table* neon_table();
 
 /// The table the `simd` choice resolves to on this machine (portable with
 /// any available intrinsic slots spliced in), plus its backend name.

@@ -71,15 +71,11 @@ autodiff::Var MLP::forward(const autodiff::Var& x) const {
 }
 
 linalg::Matrix MLP::predict(const linalg::Matrix& x) const {
-    // Scalar flavour keeps the legacy graph path: it is the reference the
-    // fused kernels are bitwise-checked against (and the honest perf
-    // baseline for the O2 speedup claims).
-    if (!kernels::simd_active()) return forward(autodiff::Var(x)).value();
-
     // Fused value path: one linear_act_rows kernel per layer, no autodiff
-    // tape, no separate bias/activation passes. Rows are independent, so
-    // large batches tile over the pool with disjoint writes (§8.2) and the
-    // result is bitwise identical at any thread count.
+    // tape, no separate bias/activation passes. Bitwise identical to
+    // forward(Var(x)).value() under either kernel flavour. Rows are
+    // independent, so large batches tile over the pool with disjoint writes
+    // (§8.2) and the result is bitwise identical at any thread count.
     linalg::Matrix cur = x;
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const linalg::Matrix& w = layers_[i].weight().value();

@@ -1,6 +1,5 @@
 #include "nn/optimizer.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -62,39 +61,8 @@ double Optimizer::clip_grad_norm(double max_norm) {
     return norm;
 }
 
-double Optimizer::clip_grad_value(double limit) {
-    double sq = 0.0;
-    for (auto& p : params_) {
-        if (!p.requires_grad()) continue;
-        auto node = p.node();
-        if (node->grad.empty()) continue;
-        for (double& v : node->grad.flat()) {
-            sq += v * v;
-            if (v > limit)
-                v = limit;
-            else if (v < -limit)
-                v = -limit;
-        }
-    }
-    return std::sqrt(sq);
-}
-
-double Optimizer::clip_gradients(GradClipMode mode, double limit) {
-    return mode == GradClipMode::kGlobalNorm ? clip_grad_norm(limit)
-                                             : clip_grad_value(limit);
-}
-
-double grad_explode_limit(GradClipMode mode, double limit,
-                          double explode_factor,
-                          std::size_t param_count) noexcept {
-    // kGlobalNorm multiplies by exactly 1.0, keeping the threshold bitwise
-    // identical to the historical `explode_factor * limit`.
-    const double scale =
-        mode == GradClipMode::kPerValue
-            ? std::sqrt(static_cast<double>(std::max<std::size_t>(
-                  param_count, 1)))
-            : 1.0;
-    return explode_factor * limit * scale;
+double grad_explode_limit(double limit, double explode_factor) noexcept {
+    return explode_factor * limit;
 }
 
 Sgd::Sgd(std::vector<autodiff::Var> params, double lr, double momentum)

@@ -7,18 +7,6 @@
 
 namespace nofis::nn {
 
-/// How gradients are bounded before an optimizer step.
-///
-/// kGlobalNorm rescales the whole gradient vector when its L2 norm across
-/// all parameters exceeds the limit — direction-preserving, the default.
-/// kPerValue clamps every component into [-limit, limit] independently;
-/// this distorts the gradient direction and is kept only so earlier seed
-/// benches that trained with per-value clamping stay reproducible.
-enum class GradClipMode {
-    kGlobalNorm,
-    kPerValue,
-};
-
 /// Portable snapshot of an optimizer's internal state (step counter plus
 /// per-parameter moment/velocity slots in a documented order). Exporting
 /// and re-importing it into a freshly constructed optimizer over the same
@@ -47,17 +35,10 @@ public:
     void zero_grad();
     virtual void step() = 0;
 
-    /// Clips the global L2 norm of all (unfrozen) gradients to `max_norm`.
-    /// Returns the pre-clip norm. Call between backward() and step().
+    /// Clips the global L2 norm of all (unfrozen) gradients to `max_norm`
+    /// (direction-preserving). Returns the pre-clip norm. Call between
+    /// backward() and step().
     double clip_grad_norm(double max_norm);
-
-    /// Legacy clipping: clamps each gradient component into
-    /// [-limit, limit]. Returns the pre-clip global L2 norm so callers can
-    /// use the same divergence telemetry in either mode.
-    double clip_grad_value(double limit);
-
-    /// Mode-dispatching clip (see GradClipMode); returns the pre-clip norm.
-    double clip_gradients(GradClipMode mode, double limit);
 
     /// State capture for checkpoint/resume; see OptimizerState. The base
     /// optimizer is stateless, so the default round-trips an empty state.
@@ -73,18 +54,9 @@ protected:
 };
 
 /// Pre-clip gradient-norm threshold above which a training loop should
-/// treat the step as divergent, given how the gradient will be clipped.
-///
-/// Under kGlobalNorm the clip limit and the norm live on the same scale, so
-/// the threshold is simply `explode_factor * limit`. Under kPerValue the
-/// limit bounds each component, so a perfectly legitimate gradient can
-/// reach a norm of `limit * sqrt(param_count)`; comparing the raw norm
-/// against `explode_factor * limit` would flag healthy high-dimensional
-/// steps as explosions. The threshold is therefore scaled by
-/// sqrt(param_count).
-double grad_explode_limit(GradClipMode mode, double limit,
-                          double explode_factor,
-                          std::size_t param_count) noexcept;
+/// treat the step as divergent: the global-norm clip `limit` and the norm
+/// live on the same scale, so it is simply `explode_factor * limit`.
+double grad_explode_limit(double limit, double explode_factor) noexcept;
 
 /// Plain SGD with optional momentum.
 class Sgd final : public Optimizer {

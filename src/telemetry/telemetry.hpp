@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,9 +65,8 @@ public:
     std::map<std::string, double> metrics() const;
 
     /// Serialises the whole record as one JSON object (spans / counters /
-    /// metrics). No external dependencies; non-finite numbers are emitted
-    /// as `null` so the output always parses.
-    void write_json(std::ostream& os) const;
+    /// metrics) through util::Json; non-finite numbers are emitted as
+    /// `null` so the output always parses.
     std::string to_json() const;
 
 private:
@@ -139,13 +137,5 @@ inline void count(std::string_view name, std::uint64_t delta = 1) {
 inline void metric(std::string_view name, double value) {
     if (RunTrace* tr = active()) tr->set_metric(name, value);
 }
-
-/// Appends a JSON string literal (quoted, escaped) to `os`. Exposed for
-/// other writers that extend the record (bench_common's exporter).
-void write_json_string(std::ostream& os, std::string_view s);
-
-/// Appends a JSON number; non-finite values become `null` so the document
-/// stays valid.
-void write_json_number(std::ostream& os, double v);
 
 }  // namespace nofis::telemetry

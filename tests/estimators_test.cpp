@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "estimators/adaptive_is.hpp"
+#include "estimators/importance.hpp"
 #include "estimators/monte_carlo.hpp"
 #include "estimators/problem.hpp"
 #include "estimators/sir.hpp"
@@ -195,6 +196,64 @@ TEST(Sir, LearnsSmoothBoundary) {
     const auto res = sir.estimate(prob, eng);
     EXPECT_EQ(res.calls, 20000u);
     EXPECT_LT(estimators::log_error(res.p_hat, prob.analytic()), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// The shared importance-sampling reduction
+// ---------------------------------------------------------------------------
+
+/// Four 1-D draws whose log q makes the weights p/q = {1, 2, 4, 0.5}, with
+/// g placing rows 0, 1 (g = 0 is a failure) and 3 inside Ω.
+struct HandDraws {
+    linalg::Matrix x{{0.0}, {0.5}, {-1.0}, {2.0}};
+    std::vector<double> log_q;
+    std::vector<double> g{-1.0, 0.0, 3.0, -2.0};
+    HandDraws() {
+        const double w[] = {1.0, 2.0, 4.0, 0.5};
+        for (std::size_t r = 0; r < 4; ++r)
+            log_q.push_back(rng::standard_normal_log_pdf(x.row_span(r)) -
+                            std::log(w[r]));
+    }
+};
+
+TEST(ImportanceReduce, MatchesHandComputedDraws) {
+    const HandDraws h;
+    const auto est = estimators::importance_reduce(h.x, h.log_q, h.g);
+    const auto& d = est.diag;
+    EXPECT_NEAR(est.p_hat, (1.0 + 2.0 + 0.5) / 4.0, 1e-12);
+    EXPECT_EQ(d.hits, 3u);
+    EXPECT_EQ(d.draws, 4u);
+    // Hit ESS (1 + 2 + 0.5)² / (1 + 4 + 0.25).
+    EXPECT_NEAR(d.effective_sample_size, 12.25 / 5.25, 1e-12);
+    // All-draw ESS (7.5)² / (1 + 4 + 16 + 0.25).
+    EXPECT_NEAR(d.ess_all, 56.25 / 21.25, 1e-12);
+    // CV: mean 1.875, E[w²] = 5.3125, var = 1.796875.
+    EXPECT_NEAR(d.weight_cv, std::sqrt(1.796875) / 1.875, 1e-12);
+    EXPECT_NEAR(d.max_weight, 2.0, 1e-12);  // largest weight among hits
+}
+
+TEST(ImportanceReduce, NonFiniteGMakesTheEstimateNan) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        HandDraws h;
+        h.g[1] = bad;
+        const auto est = estimators::importance_reduce(h.x, h.log_q, h.g);
+        EXPECT_TRUE(std::isnan(est.p_hat)) << bad;
+        EXPECT_EQ(est.diag.hits, 2u) << bad;  // the unanswered row is no hit
+        EXPECT_NEAR(est.diag.ess_all, 56.25 / 21.25, 1e-12) << bad;
+    }
+}
+
+TEST(ImportanceReduce, LogAddExpIsTheMixtureDensity) {
+    EXPECT_NEAR(estimators::log_add_exp(std::log(0.25), std::log(0.5)),
+                std::log(0.75), 1e-15);
+    // No overflow far out in the tails, and a -inf component drops out.
+    EXPECT_NEAR(estimators::log_add_exp(-1000.0, -1000.0),
+                -1000.0 + std::log(2.0), 1e-12);
+    EXPECT_EQ(estimators::log_add_exp(
+                  -3.0, -std::numeric_limits<double>::infinity()),
+              -3.0);
 }
 
 /// Wraps another problem and returns NaN for a deterministic fraction of

@@ -16,6 +16,7 @@
 #include "evalcache/eval_cache.hpp"
 #include "latent/anneal.hpp"
 #include "latent/chain.hpp"
+#include "latent/defensive_is.hpp"
 #include "latent/latent_explore.hpp"
 #include "latent/refine.hpp"
 #include "parallel/thread_pool.hpp"
@@ -348,6 +349,31 @@ TEST(LatentRun, AlphaValidated) {
                      std::invalid_argument)
             << "alpha " << bad;
     }
+}
+
+TEST(LatentRun, NanSimulatorValueFailsTheDefensiveEstimate) {
+    // g is NaN for x0 > 0 and 10 elsewhere (P = 0): a draw with no answer
+    // must not be counted as a failure, so the estimate reports failed.
+    class NanHalfPlane final : public estimators::RareEventProblem {
+    public:
+        std::size_t dim() const noexcept override { return 2; }
+        double g(std::span<const double> x) const override {
+            return x[0] > 0.0 ? std::numeric_limits<double>::quiet_NaN()
+                              : 10.0;
+        }
+    };
+    const auto stack = fresh_stack(2, 13);
+    const NanHalfPlane prob;
+    const dist::GaussianMixture refined(
+        {{1.0, std::vector<double>{1.0, 0.0}, std::vector<double>{0.5, 0.5}}});
+    rng::Engine eng(5);
+    estimators::IsDiagnostics diag;
+    const auto res =
+        latent::defensive_estimate(stack, prob, eng, 500, refined, 0.8, &diag);
+    EXPECT_TRUE(res.failed);
+    EXPECT_TRUE(std::isnan(res.p_hat));
+    EXPECT_EQ(diag.hits, 0u);
+    EXPECT_EQ(res.calls, 500u);
 }
 
 }  // namespace

@@ -251,12 +251,47 @@ TEST(Nofis, ImportanceEstimateReusesTrainedFlow) {
     rng::Engine eng(6);
     auto run = est.run(prob, eng);
     // Fresh estimates from the same flow, growing N_IS (Figure 4's sweep).
-    core::IsDiagnostics diag;
+    estimators::IsDiagnostics diag;
     const auto res = NofisEstimator::importance_estimate(
         *run.flow, prob, eng, 4000, &diag);
     EXPECT_EQ(res.calls, 4000u);
     EXPECT_LT(estimators::log_error(res.p_hat, prob.analytic()), 0.6);
     EXPECT_GT(diag.effective_sample_size, 10.0);
+}
+
+/// g is NaN on the half-plane x0 > 0 and 10 (no failure) elsewhere: the
+/// true failure probability is 0, and half the draws get no answer.
+class NanHalfPlane final : public estimators::RareEventProblem {
+public:
+    std::size_t dim() const noexcept override { return 2; }
+    double g(std::span<const double> x) const override {
+        return x[0] > 0.0 ? std::numeric_limits<double>::quiet_NaN() : 10.0;
+    }
+};
+
+TEST(Nofis, NanSimulatorValueIsNotCountedAsFailure) {
+    // Regression: the final IS skipped a draw only when g > 0, so a NaN g
+    // counted as a full-weight hit and this P = 0 problem came back as a
+    // clean p_hat ≈ 0.48 (hits ≈ N/2). No answer must mean no estimate.
+    flow::StackConfig scfg;
+    scfg.dim = 2;
+    scfg.num_blocks = 1;
+    scfg.layers_per_block = 2;
+    scfg.hidden = {8};
+    rng::Engine init(3);
+    const flow::CouplingStack identity(scfg, init);  // fresh = identity map
+    NanHalfPlane prob;
+    for (const double defensive_weight : {0.0, 0.3}) {
+        rng::Engine eng(17);
+        estimators::IsDiagnostics diag;
+        const auto res = NofisEstimator::importance_estimate(
+            identity, prob, eng, 2000, &diag, defensive_weight);
+        EXPECT_TRUE(res.failed) << defensive_weight;
+        EXPECT_TRUE(std::isnan(res.p_hat)) << defensive_weight;
+        EXPECT_EQ(res.calls, 2000u);
+        EXPECT_EQ(diag.hits, 0u) << defensive_weight;
+        EXPECT_EQ(diag.draws, 2000u);
+    }
 }
 
 TEST(Nofis, DefensiveMixtureStaysCalibrated) {

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
@@ -23,6 +22,7 @@
 #include "telemetry/telemetry.hpp"
 #include "testcases/synthetic.hpp"
 #include "util/ios_guard.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -33,106 +33,6 @@ using namespace nofis;
 /// active sink into each other.
 struct TraceGuard {
     ~TraceGuard() { telemetry::set_active(nullptr); }
-};
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON syntax checker — enough to assert the
-// exporter always emits a parseable document (objects, arrays, strings,
-// numbers, literals; no extensions).
-// ---------------------------------------------------------------------------
-
-class JsonChecker {
-public:
-    explicit JsonChecker(std::string text) : s_(std::move(text)) {}
-
-    bool valid() {
-        skip_ws();
-        if (!value()) return false;
-        skip_ws();
-        return pos_ == s_.size();
-    }
-
-private:
-    const std::string s_;
-    std::size_t pos_ = 0;
-
-    void skip_ws() {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-    bool eat(char c) {
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-    bool literal(const char* lit) {
-        const std::size_t n = std::char_traits<char>::length(lit);
-        if (s_.compare(pos_, n, lit) != 0) return false;
-        pos_ += n;
-        return true;
-    }
-    bool string() {
-        if (!eat('"')) return false;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size()) return false;
-            }
-            ++pos_;
-        }
-        return eat('"');
-    }
-    bool number() {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '+' || s_[pos_] == '-'))
-            ++pos_;
-        return pos_ > start;
-    }
-    bool value() {
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        const char c = s_[pos_];
-        if (c == '{') return object();
-        if (c == '[') return array();
-        if (c == '"') return string();
-        if (c == 't') return literal("true");
-        if (c == 'f') return literal("false");
-        if (c == 'n') return literal("null");
-        return number();
-    }
-    bool object() {
-        if (!eat('{')) return false;
-        skip_ws();
-        if (eat('}')) return true;
-        for (;;) {
-            skip_ws();
-            if (!string()) return false;
-            skip_ws();
-            if (!eat(':')) return false;
-            if (!value()) return false;
-            skip_ws();
-            if (eat('}')) return true;
-            if (!eat(',')) return false;
-        }
-    }
-    bool array() {
-        if (!eat('[')) return false;
-        skip_ws();
-        if (eat(']')) return true;
-        for (;;) {
-            if (!value()) return false;
-            skip_ws();
-            if (eat(']')) return true;
-            if (!eat(',')) return false;
-        }
-    }
 };
 
 // ---------------------------------------------------------------------------
@@ -240,8 +140,7 @@ TEST(TelemetryJson, RecordIsWellFormed) {
     telemetry::set_active(nullptr);
 
     const std::string json = trace.to_json();
-    JsonChecker checker(json);
-    EXPECT_TRUE(checker.valid()) << json;
+    EXPECT_NO_THROW(util::Json::parse(json)) << json;
     EXPECT_NE(json.find("\"schema\":\"nofis-metrics-v1\""), std::string::npos);
     EXPECT_NE(json.find("\"wall_ms\""), std::string::npos);
     EXPECT_NE(json.find("\"ess_all\""), std::string::npos);
@@ -253,10 +152,45 @@ TEST(TelemetryJson, RecordIsWellFormed) {
     EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
+// Pins the exported record byte for byte: nested spans in first-seen
+// order, counters and metrics in name order, "%.17g" numbers, null for
+// non-finite values, and \u00xx escapes for control characters.
+TEST(TelemetryJson, GoldenRecordBytes) {
+    telemetry::RunTrace trace;
+    telemetry::SpanNode& run = trace.root().find_or_add("nofis_run");
+    run.wall_ms = 12.5;
+    run.count = 1;
+    telemetry::SpanNode& train = run.find_or_add("train");
+    train.wall_ms = 0.1;
+    train.count = 3;
+    train.find_or_add("stage_1\x1f").wall_ms = 1e-7;
+    telemetry::SpanNode& final_is = run.find_or_add("final_is");
+    final_is.wall_ms = 2.0;
+    final_is.count = 1;
+    trace.add_counter("g_calls.train", 1200);
+    trace.add_counter("g_calls.final_is", 18446744073709551615ull);
+    trace.add_counter("ctl\x01\"q\"\\\t", 7);
+    trace.set_metric("p_hat", 4.74e-06);
+    trace.set_metric("nan_metric", std::nan(""));
+    trace.set_metric("neg_inf", -INFINITY);
+    trace.set_metric("weight_cv", -0.0);
+    EXPECT_EQ(
+        trace.to_json(),
+        R"({"schema":"nofis-metrics-v1","spans":{"name":"run","wall_ms":0,)"
+        R"("count":0,"children":[{"name":"nofis_run","wall_ms":12.5,)"
+        R"("count":1,"children":[{"name":"train",)"
+        R"("wall_ms":0.10000000000000001,"count":3,"children":[)"
+        R"({"name":"stage_1\u001f","wall_ms":9.9999999999999995e-08,)"
+        R"("count":0}]},{"name":"final_is","wall_ms":2,"count":1}]}]},)"
+        R"("counters":{"ctl\u0001\"q\"\\\t":7,)"
+        R"("g_calls.final_is":18446744073709551615,"g_calls.train":1200},)"
+        R"("metrics":{"nan_metric":null,"neg_inf":null,)"
+        R"("p_hat":4.7400000000000004e-06,"weight_cv":-0}})");
+}
+
 TEST(TelemetryJson, EmptyTraceStillParses) {
     const telemetry::RunTrace trace;
-    JsonChecker checker(trace.to_json());
-    EXPECT_TRUE(checker.valid()) << trace.to_json();
+    EXPECT_NO_THROW(util::Json::parse(trace.to_json())) << trace.to_json();
 }
 
 // ---------------------------------------------------------------------------
