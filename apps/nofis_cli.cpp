@@ -44,25 +44,23 @@
 //       parameter count) without running anything.
 //   nofis_cli serve --models DIR [--port 0] [--max-batch-rows N]
 //            [--max-wait-us 200] [--max-queue 1024] [--workers N]
-//            [--backlog B]
 //       Serve every .nofisflow in DIR over a loopback TCP socket speaking
 //       the line-delimited JSON protocol of DESIGN.md §10. Prints
 //       "nofis-serve: ready port=P" once listening; stops cleanly on a
 //       `shutdown` request or SIGINT/SIGTERM. Responses are bitwise
-//       identical regardless of batching, queue order or --threads.
-//       --workers N > 1 switches to the scale-out topology of DESIGN.md
-//       §15: N worker processes (each a full server on an ephemeral port)
-//       behind one front that routes by model name, respawns crashed
-//       workers, drains on reload and SIGTERM, and — with --metrics-out —
-//       writes one aggregated fleet record. A shared --cache-dir is safe
-//       across workers (the eval logs lock on disk).
+//       identical regardless of batching, queue order, --threads or
+//       --workers. --workers N runs N scheduler shards in this one process
+//       (DESIGN.md §15): each model's requests go to one shard, chosen by
+//       a stable hash of its name, and every shard has its own thread,
+//       queue and evaluation cache (--cache-mem-mb is per shard; a shared
+//       --cache-dir is safe, the eval logs lock on disk). The shards share
+//       the one --threads pool and write one --metrics-out record.
 //   nofis_cli query --port P [--host 127.0.0.1] --op OP [--model NAME]
 //            [--seed S] [--n N] [--case NAME] [--x "0.1,0.2;..."]
-//            [--timeout-us T] [--id K] [--worker W] | --file requests.jsonl
+//            [--timeout-us T] [--id K] | --file requests.jsonl
 //       Issue one request (or pipeline every line of --file) against a
 //       running server and print the raw response line(s). Exits 0 when
-//       every response is ok, 1 otherwise. --op drain/resume with --worker W
-//       stop/restart routing to one cluster worker.
+//       every response is ok, 1 otherwise.
 //
 // Every command accepts --threads N to size the parallel evaluation pool
 // (0 / absent = NOFIS_THREADS env or hardware concurrency) and
@@ -105,7 +103,6 @@
 #include "core/levels.hpp"
 #include "flow/serialize.hpp"
 #include "flow/stack_info.hpp"
-#include "serve/cluster/cluster.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp_client.hpp"
 #include "testcases/fault_injector.hpp"
@@ -481,69 +478,7 @@ std::atomic<bool> g_signal_stop{false};
 
 void on_signal(int) { g_signal_stop.store(true, std::memory_order_relaxed); }
 
-/// Multi-worker serve (--workers N > 1): spawn N copies of this binary as
-/// single-registry workers behind one front that routes by model name
-/// (DESIGN.md §15). The front re-execs /proc/self/exe, so the workers are
-/// always the same build as the front.
-int cmd_serve_cluster(int argc, char** argv, std::size_t workers,
-                      MetricsSession& metrics) {
-    serve::cluster::ClusterConfig cfg;
-    cfg.workers = workers;
-    const auto port = size_flag(argc, argv, "--port", "0");
-    if (port > 65535) {
-        std::fprintf(stderr, "error: invalid port %zu\n", port);
-        return 2;
-    }
-    cfg.port = static_cast<std::uint16_t>(port);
-    const auto backlog = size_flag(argc, argv, "--backlog", "0");
-    if (backlog > 0) cfg.backlog = static_cast<int>(backlog);
-    cfg.worker.command = {
-        std::filesystem::read_symlink("/proc/self/exe").string()};
-    cfg.worker.model_dir = arg_value(argc, argv, "--models", ".");
-    cfg.worker.max_batch_rows =
-        size_flag(argc, argv, "--max-batch-rows", "0");
-    cfg.worker.max_wait_us = u64_flag(argc, argv, "--max-wait-us", "200");
-    cfg.worker.max_queue = size_flag(argc, argv, "--max-queue", "1024");
-    cfg.worker.cache_mem_mb = size_flag(argc, argv, "--cache-mem-mb", "0");
-    cfg.worker.cache_dir = arg_value(argc, argv, "--cache-dir", "");
-    cfg.worker.threads = size_flag(argc, argv, "--threads", "0");
-    cfg.metrics_out = metrics.path();
-
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-
-    serve::cluster::Cluster cluster(cfg);
-    std::printf("serving models from %s on %s:%u (%zu workers)\n",
-                cfg.worker.model_dir.c_str(), cfg.host.c_str(),
-                static_cast<unsigned>(cluster.port()), cluster.workers());
-    for (std::size_t i = 0; i < cluster.workers(); ++i)
-        std::printf("nofis-serve: worker %zu pid=%d port=%u\n", i,
-                    static_cast<int>(cluster.worker_pid(i)),
-                    static_cast<unsigned>(cluster.worker_port(i)));
-    std::printf("nofis-serve: ready port=%u\n",
-                static_cast<unsigned>(cluster.port()));
-    std::fflush(stdout);
-    // SIGTERM/SIGINT land in g_signal_stop; shutdown() is the
-    // drain-all-then-exit path either way.
-    cluster.wait(&g_signal_stop);
-    cluster.shutdown();
-    int rc = 0;
-    if (metrics.enabled()) {
-        // The workers wrote per-worker records on their way down; fold them
-        // (plus the front's routing counters) into the one --metrics-out
-        // the caller asked for, and keep main()'s MetricsSession from
-        // overwriting it.
-        if (!cluster.write_metrics(metrics.path())) rc = 1;
-        metrics.disarm();
-    }
-    std::printf("nofis-serve: stopped\n");
-    return rc;
-}
-
-int cmd_serve(int argc, char** argv, MetricsSession& metrics) {
-    const auto workers = size_flag(argc, argv, "--workers", "1");
-    if (workers > 1) return cmd_serve_cluster(argc, argv, workers, metrics);
-
+int cmd_serve(int argc, char** argv) {
     serve::ServerConfig cfg;
     cfg.model_dir = arg_value(argc, argv, "--models", ".");
     const auto port = size_flag(argc, argv, "--port", "0");
@@ -552,8 +487,7 @@ int cmd_serve(int argc, char** argv, MetricsSession& metrics) {
         return 2;
     }
     cfg.port = static_cast<std::uint16_t>(port);
-    const auto backlog = size_flag(argc, argv, "--backlog", "0");
-    if (backlog > 0) cfg.backlog = static_cast<int>(backlog);
+    cfg.workers = size_flag(argc, argv, "--workers", "1");
     cfg.scheduler.max_batch_rows =
         size_flag(argc, argv, "--max-batch-rows", "0");
     cfg.scheduler.max_wait_us = u64_flag(argc, argv, "--max-wait-us", "200");
@@ -643,8 +577,7 @@ int cmd_query(int argc, char** argv) {
         for (serve::Op candidate :
              {serve::Op::kSample, serve::Op::kLogProb, serve::Op::kEstimate,
               serve::Op::kInfo, serve::Op::kListModels, serve::Op::kReload,
-              serve::Op::kEvict, serve::Op::kDrain, serve::Op::kResume,
-              serve::Op::kPing, serve::Op::kShutdown}) {
+              serve::Op::kEvict, serve::Op::kPing, serve::Op::kShutdown}) {
             if (serve::op_name(candidate) == op) {
                 req.op = candidate;
                 known = true;
@@ -661,11 +594,6 @@ int cmd_query(int argc, char** argv) {
                           arg_value(argc, argv, "--nis", "1000"));
         req.case_name = arg_value(argc, argv, "--case", "");
         req.timeout_us = u64_flag(argc, argv, "--timeout-us", "0");
-        // Cluster admin target for drain/resume; absent = whole fleet (or,
-        // against a single worker, its own queue).
-        if (!arg_value(argc, argv, "--worker", "").empty())
-            req.worker = static_cast<std::int64_t>(
-                u64_flag(argc, argv, "--worker", "0"));
         const std::string points = arg_value(argc, argv, "--x", "");
         if (!points.empty()) req.x = parse_points(points);
         request_lines.push_back(req.encode());
@@ -713,7 +641,7 @@ int main(int argc, char** argv) {
         if (cmd == "train" || cmd == "run") rc = cmd_train(argc, argv);
         if (cmd == "reuse") rc = cmd_reuse(argc, argv);
         if (cmd == "info") rc = cmd_info(argc, argv);
-        if (cmd == "serve") rc = cmd_serve(argc, argv, metrics);
+        if (cmd == "serve") rc = cmd_serve(argc, argv);
         if (cmd == "query") rc = cmd_query(argc, argv);
         if (cmd == "cache-info") rc = cmd_cache_info(argc, argv);
         if (cmd == "cache-compact") rc = cmd_cache_compact(argc, argv);

@@ -345,15 +345,6 @@ public:
     telemetry::RunTrace& trace() noexcept { return trace_; }
     const std::string& path() const noexcept { return path_; }
 
-    /// Hands the metrics file over to another writer: deactivates telemetry
-    /// and suppresses this session's write, leaving whatever that writer
-    /// put at the path untouched. The cluster front uses this after
-    /// aggregating per-worker records into the very same --metrics-out.
-    void disarm() {
-        finished_ = true;
-        telemetry::set_active(nullptr);
-    }
-
     /// Writes the JSON record (idempotent). Returns false when the file
     /// could not be written; callers that care propagate a nonzero exit.
     /// The write is atomic (temp + fsync + rename), so a crash or injected

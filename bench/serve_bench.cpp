@@ -10,19 +10,17 @@
 //   ./bench/serve_bench --clients 8 --requests 500 --n 8 --max-batch-rows 0
 //       --threads 0 --metrics-out serve_metrics.json
 //
-// Cluster sweep (--workers "1,2,4"): for each worker count W spawns the
-// front/worker topology of DESIGN.md §15 (the front in-process, W
-// `nofis_cli serve` worker processes) and drives it over loopback TCP with
-// a fixed, deterministic request schedule across eight models chosen so
-// every sweep keeps the workers evenly loaded (the model names' routing
-// residues balance for W in {1,2,4}). Each worker gets
-// max(1, hw_threads / W) --threads. The run FAILs (exit 1) when
+// Worker sweep (--workers "1,2,4"): for each worker count W starts an
+// in-process serve::Server with W scheduler shards (DESIGN.md §15) and
+// drives it over loopback TCP with a fixed, deterministic request schedule
+// across eight models chosen so every sweep keeps the shards evenly loaded
+// (the model names' routing residues balance for W in {1,2,4}). The shared
+// pool gets max(1, hw_threads / W) lanes. The run FAILs (exit 1) when
+//   * any request fails,
 //   * any served byte differs from the first sweep's (the 1-worker
-//     reference) — the cluster must serve exactly a single worker's bytes,
+//     reference) — W shards must serve exactly a single scheduler's bytes,
 //   * on a host with >= 8 hardware threads, the 4-worker sweep moves fewer
 //     than 3x the rows/s of the 1-worker sweep.
-// --cli PATH points at the nofis_cli binary (default: ../apps/nofis_cli
-// next to this binary).
 //
 // Each client issues `--requests` sample requests with a sliding window of
 // outstanding futures, so the scheduler always has work to coalesce without
@@ -40,9 +38,9 @@
 #include "bench_common.hpp"
 #include "flow/serialize.hpp"
 #include "rng/engine.hpp"
-#include "serve/cluster/cluster.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/scheduler.hpp"
+#include "serve/server.hpp"
 #include "serve/tcp_client.hpp"
 
 namespace {
@@ -123,12 +121,12 @@ ClientStats run_client(serve::BatchScheduler& scheduler, std::size_t requests,
 }
 
 // ---------------------------------------------------------------------------
-// Cluster sweep
+// Worker sweep
 // ---------------------------------------------------------------------------
 
 /// Model names whose FNV-1a routing residues are balanced for 1, 2 and 4
 /// workers: m0..m7 hit residues {0,3,2,1,0,3,2,1} mod 4 and alternate
-/// perfectly mod 2, so every sweep loads each worker equally.
+/// perfectly mod 2, so every sweep loads each shard equally.
 std::vector<std::string> sweep_models() {
     std::vector<std::string> names;
     for (int i = 0; i < 8; ++i) names.push_back("m" + std::to_string(i));
@@ -183,26 +181,24 @@ struct SweepResult {
     std::vector<std::vector<std::string>> responses;  ///< per client
 };
 
-SweepResult run_sweep(const std::string& cli, const std::string& model_dir,
-                      std::size_t workers, std::size_t clients,
-                      std::size_t requests, std::size_t rows,
-                      std::uint64_t seed, std::size_t window) {
+SweepResult run_sweep(const std::string& model_dir, std::size_t workers,
+                      std::size_t clients, std::size_t requests,
+                      std::size_t rows, std::uint64_t seed,
+                      std::size_t window) {
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    serve::cluster::ClusterConfig cfg;
-    cfg.workers = workers;
-    cfg.worker.command = {cli};
-    cfg.worker.model_dir = model_dir;
-    // Split the host's threads across the workers so every sweep uses the
-    // same hardware budget; the speedup measured is the topology's, not an
+    // Split the host's threads across the shards so every sweep uses the
+    // same hardware budget; the speedup measured is the sharding's, not an
     // artifact of oversubscription.
-    cfg.worker.threads = std::max<std::size_t>(1, hw / workers);
-    serve::cluster::Cluster cluster(cfg);
+    parallel::set_num_threads(std::max<std::size_t>(1, hw / workers));
+    serve::ServerConfig cfg;
+    cfg.model_dir = model_dir;
+    cfg.workers = workers;
+    serve::Server server(cfg);
 
     const std::vector<std::string> models = sweep_models();
     {
-        // Warm every worker's registry (model load is lazy) outside the
-        // timed region.
-        serve::TcpClient warm("127.0.0.1", cluster.port());
+        // Warm the registry (model load is lazy) outside the timed region.
+        serve::TcpClient warm("127.0.0.1", server.port());
         for (const auto& m : models) {
             serve::Request req;
             req.id = 1;
@@ -221,7 +217,7 @@ SweepResult run_sweep(const std::string& cli, const std::string& model_dir,
     futures.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c)
         futures.push_back(std::async(std::launch::async, [&, c] {
-            return run_tcp_client(cluster.port(), models[c % models.size()],
+            return run_tcp_client(server.port(), models[c % models.size()],
                                   requests, rows, seed + 1'000'000 * (c + 1),
                                   window);
         }));
@@ -235,7 +231,7 @@ SweepResult run_sweep(const std::string& cli, const std::string& model_dir,
         result.responses.push_back(std::move(s.responses));
     }
     result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    cluster.shutdown();
+    server.shutdown();
 
     const double issued = static_cast<double>(clients * requests);
     result.rows_per_sec = result.seconds > 0.0
@@ -247,14 +243,6 @@ SweepResult run_sweep(const std::string& cli, const std::string& model_dir,
     result.p95 = percentile(latencies, 0.95);
     result.p99 = percentile(latencies, 0.99);
     return result;
-}
-
-std::string default_cli_path(const char* argv0) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::path self = fs::read_symlink("/proc/self/exe", ec);
-    if (ec) self = argv0;
-    return (self.parent_path().parent_path() / "apps" / "nofis_cli").string();
 }
 
 int run_sweep_mode(int argc, char** argv, const std::string& workers_csv,
@@ -275,15 +263,6 @@ int run_sweep_mode(int argc, char** argv, const std::string& workers_csv,
         worker_counts.push_back(static_cast<std::size_t>(*parsed));
     }
 
-    const std::string cli =
-        bench::arg_value(argc, argv, "--cli", default_cli_path(argv[0]));
-    if (!std::filesystem::exists(cli)) {
-        std::fprintf(stderr,
-                     "error: nofis_cli not found at '%s' (pass --cli PATH)\n",
-                     cli.c_str());
-        return 2;
-    }
-
     const std::size_t clients = size_flag(argc, argv, "--clients", "8");
     const std::size_t requests = size_flag(argc, argv, "--requests", "100");
     const std::size_t rows = size_flag(argc, argv, "--n", "8");
@@ -298,14 +277,14 @@ int run_sweep_mode(int argc, char** argv, const std::string& workers_csv,
     write_default_models(model_dir, dim, sweep_models());
 
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    std::printf("serve_bench: cluster sweep workers={%s} clients=%zu "
+    std::printf("serve_bench: worker sweep workers={%s} clients=%zu "
                 "requests=%zu rows=%zu hw_threads=%zu\n",
                 workers_csv.c_str(), clients, requests, rows, hw);
 
     std::vector<SweepResult> results;
     for (const std::size_t w : worker_counts) {
-        results.push_back(run_sweep(cli, model_dir, w, clients, requests,
-                                    rows, seed, window));
+        results.push_back(
+            run_sweep(model_dir, w, clients, requests, rows, seed, window));
         const SweepResult& r = results.back();
         std::printf("serve_bench: workers=%zu ok=%zu failed=%zu wall=%.3fs "
                     "rows/s=%.0f p50=%.2fms p95=%.2fms p99=%.2fms\n",

@@ -24,7 +24,8 @@ namespace nofis::evalcache {
 /// truncates the file at the first torn or corrupt one. Values round-trip
 /// as raw 8-byte patterns, so a cached g is returned bit-for-bit.
 ///
-/// Multi-process sharing (cluster workers with one --cache-dir): a sidecar
+/// Sharing one --cache-dir (concurrent CLI runs, or the scheduler shards of
+/// one server, each with its own open of the log): a sidecar
 /// `<path>.lck` file is flock(2)ed around open/recovery, every append, and
 /// compaction, so concurrent writers interleave whole records. Appends seek
 /// to the true end of file under the lock (another process may have grown

@@ -20,6 +20,25 @@ namespace {
 /// nested parallel_for calls fall back to inline execution.
 thread_local bool t_in_parallel_region = false;
 
+/// ThreadPool::run's contract with every lane on the calling thread: each
+/// body runs once, in lane order, and the lowest lane's exception is
+/// rethrown after all of them ran.
+void run_lanes_inline(std::size_t lanes,
+                      const std::function<void(std::size_t)>& body) {
+    std::exception_ptr first;
+    const bool was_inside = t_in_parallel_region;
+    t_in_parallel_region = true;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+        try {
+            body(lane);
+        } catch (...) {
+            if (!first) first = std::current_exception();
+        }
+    }
+    t_in_parallel_region = was_inside;
+    if (first) std::rethrow_exception(first);
+}
+
 }  // namespace
 
 std::size_t hardware_threads() noexcept {
@@ -28,7 +47,7 @@ std::size_t hardware_threads() noexcept {
 }
 
 struct ThreadPool::Impl {
-    std::mutex run_mutex;  ///< serialises whole jobs from different callers
+    std::mutex run_mutex;  ///< held by the caller whose job owns the workers
     std::mutex m;
     std::condition_variable cv_work;
     std::condition_variable cv_done;
@@ -113,7 +132,14 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run(const std::function<void(std::size_t)>& body) {
-    std::lock_guard run_lock(impl_->run_mutex);
+    std::unique_lock run_lock(impl_->run_mutex, std::try_to_lock);
+    if (!run_lock.owns_lock()) {
+        // Another caller's job holds the workers: run every lane here
+        // instead of waiting for them. Same per-lane bodies, so the same
+        // results (§8.2), and no caller ever blocks on another.
+        run_lanes_inline(lanes_, body);
+        return;
+    }
     impl_->jobs.fetch_add(1, std::memory_order_relaxed);
     for (auto& e : impl_->lane_error) e = nullptr;
     if (lanes_ > 1) {

@@ -46,8 +46,10 @@ public:
     std::size_t lanes() const noexcept { return lanes_; }
 
     /// Runs body(lane) once per lane in [0, lanes()); lane 0 executes on
-    /// the caller. If bodies throw, the exception of the lowest lane is
-    /// rethrown after every lane completed.
+    /// the caller. While another thread's job holds the workers, every lane
+    /// runs on the caller instead, one after another, so concurrent callers
+    /// never wait for each other. If bodies throw, the exception of the
+    /// lowest lane is rethrown after every lane completed.
     void run(const std::function<void(std::size_t)>& body);
 
     /// Cumulative utilisation of this pool since construction.

@@ -15,7 +15,6 @@ std::string_view error_code_name(ErrorCode code) noexcept {
         case ErrorCode::kQueueFull: return "queue_full";
         case ErrorCode::kDeadlineExceeded: return "deadline_exceeded";
         case ErrorCode::kShuttingDown: return "shutting_down";
-        case ErrorCode::kWorkerUnavailable: return "worker_unavailable";
         case ErrorCode::kInternal: return "internal";
     }
     return "internal";
@@ -30,8 +29,6 @@ std::string_view op_name(Op op) noexcept {
         case Op::kListModels: return "list_models";
         case Op::kReload: return "reload";
         case Op::kEvict: return "evict";
-        case Op::kDrain: return "drain";
-        case Op::kResume: return "resume";
         case Op::kPing: return "ping";
         case Op::kShutdown: return "shutdown";
     }
@@ -46,8 +43,8 @@ namespace {
 
 Op parse_op(const std::string& name) {
     for (Op op : {Op::kSample, Op::kLogProb, Op::kEstimate, Op::kInfo,
-                  Op::kListModels, Op::kReload, Op::kEvict, Op::kDrain,
-                  Op::kResume, Op::kPing, Op::kShutdown})
+                  Op::kListModels, Op::kReload, Op::kEvict, Op::kPing,
+                  Op::kShutdown})
         if (op_name(op) == name) return op;
     bad_request("unknown op '" + name + "'");
 }
@@ -105,9 +102,6 @@ Request Request::decode(std::string_view line) {
 
     req.seed = u64_field(doc, "seed", 0);
     req.timeout_us = u64_field(doc, "timeout_us", 0);
-    if (doc.find("worker") != nullptr)
-        req.worker =
-            static_cast<std::int64_t>(u64_field(doc, "worker", 0));
     req.n = static_cast<std::size_t>(
         u64_field(doc, "n", req.op == Op::kSample ? 1 : 1000));
     if ((req.op == Op::kSample || req.op == Op::kEstimate) && req.n == 0)
@@ -173,8 +167,6 @@ std::string Request::encode() const {
             break;
     }
     if (timeout_us > 0) doc.set("timeout_us", Json::number_u64(timeout_us));
-    if (worker >= 0)
-        doc.set("worker", Json::number_u64(static_cast<std::uint64_t>(worker)));
     return doc.encode();
 }
 
@@ -242,8 +234,7 @@ Response Response::decode(std::string_view line) {
                      {ErrorCode::kBadRequest, ErrorCode::kUnknownModel,
                       ErrorCode::kUnknownCase, ErrorCode::kDimMismatch,
                       ErrorCode::kQueueFull, ErrorCode::kDeadlineExceeded,
-                      ErrorCode::kShuttingDown,
-                      ErrorCode::kWorkerUnavailable, ErrorCode::kInternal})
+                      ErrorCode::kShuttingDown, ErrorCode::kInternal})
                     if (error_code_name(code) == c->as_string())
                         res.error_code = code;
             }

@@ -30,7 +30,6 @@ enum class ErrorCode {
     kQueueFull,         ///< scheduler backpressure: bounded queue at capacity
     kDeadlineExceeded,  ///< request expired before its batch executed
     kShuttingDown,      ///< server stopping; request not executed
-    kWorkerUnavailable, ///< cluster: owning worker crashed / respawning
     kInternal,          ///< unexpected exception during execution
 };
 std::string_view error_code_name(ErrorCode code) noexcept;
@@ -57,10 +56,6 @@ enum class Op {
     kListModels,  ///< models on disk + which are resident
     kReload,      ///< re-read a model from disk (atomic swap)
     kEvict,       ///< drop a resident model
-    kDrain,       ///< ack once every earlier request has completed; at the
-                  ///< cluster front (with a 'worker' field) additionally
-                  ///< stops routing new requests to that worker
-    kResume,      ///< cluster front: resume routing to a drained worker
     kPing,        ///< liveness / protocol check
     kShutdown,    ///< ack, then stop the server
 };
@@ -78,9 +73,6 @@ struct Request {
     linalg::Matrix x;       ///< query points, row-major (log_prob)
     std::string case_name;  ///< test-case name (estimate)
     std::uint64_t timeout_us = 0;  ///< 0 = no deadline
-    /// Cluster worker index for drain/resume admin verbs; negative = absent
-    /// (a worker process acks a drain for its whole queue).
-    std::int64_t worker = -1;
 
     /// Decodes one wire line. Throws ServeError(kBadRequest) on anything
     /// malformed, including unknown ops and wrong field types.

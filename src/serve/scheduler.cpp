@@ -54,8 +54,11 @@ std::size_t derived_batch_rows(const SchedulerConfig& cfg) {
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(ModelRegistry& registry, SchedulerConfig cfg)
-    : registry_(registry), cfg_(std::move(cfg)) {
+BatchScheduler::BatchScheduler(ModelRegistry& registry, SchedulerConfig cfg,
+                               bool owns_span_tree)
+    : registry_(registry),
+      cfg_(std::move(cfg)),
+      owns_span_tree_(owns_span_tree) {
     if (cfg_.cache_mem_mb > 0 || !cfg_.cache_dir.empty()) {
         evalcache::CacheConfig ccfg;
         if (cfg_.cache_mem_mb > 0) ccfg.mem_bytes = cfg_.cache_mem_mb << 20;
@@ -160,7 +163,7 @@ void BatchScheduler::loop() {
     for (;;) {
         // The scheduler thread owns the span tree while serving (the
         // activating thread is parked in Server::wait by then).
-        telemetry::adopt_span_tree();
+        if (owns_span_tree_) telemetry::adopt_span_tree();
         std::vector<Pending> batch;
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -502,20 +505,6 @@ Response BatchScheduler::run_admin(Pending& p) {
                 Json result = Json::object();
                 result.set("evicted",
                            Json::boolean(registry_.evict(p.req.model)));
-                return Response::success(p.req, std::move(result));
-            }
-            case Op::kDrain: {
-                // Admin ops execute after every earlier-submitted request in
-                // this worker's queue order, so reaching this point IS the
-                // drain: everything ahead of the request has completed. The
-                // cluster front layers routing-level drain on top of this.
-                Json result = Json::object();
-                result.set("drained", Json::boolean(true));
-                return Response::success(p.req, std::move(result));
-            }
-            case Op::kResume: {
-                Json result = Json::object();
-                result.set("resumed", Json::boolean(true));
                 return Response::success(p.req, std::move(result));
             }
             case Op::kShutdown: {

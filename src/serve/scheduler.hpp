@@ -35,7 +35,8 @@ struct SchedulerConfig {
     std::size_t max_queue = 1024;
 
     /// In-memory budget (MiB) of the g-evaluation cache shared by every
-    /// estimate request. 0 together with an empty cache_dir disables the
+    /// estimate request of one scheduler (each Server shard has its own).
+    /// 0 together with an empty cache_dir disables the
     /// cache; 0 with a cache_dir set uses the evalcache default budget.
     /// Responses are bitwise identical either way — only the
     /// calls_fresh/calls_cached split in the estimate result changes.
@@ -63,7 +64,12 @@ struct SchedulerConfig {
 /// scheduler thread via telemetry::adopt_span_tree().
 class BatchScheduler {
 public:
-    BatchScheduler(ModelRegistry& registry, SchedulerConfig cfg);
+    /// `owns_span_tree`: the scheduler thread adopts the active trace's
+    /// span tree. The tree has one owner thread, so a Server with several
+    /// schedulers passes true for the first only; the others' spans no-op
+    /// while their counters still land in the same trace.
+    BatchScheduler(ModelRegistry& registry, SchedulerConfig cfg,
+                   bool owns_span_tree = true);
     ~BatchScheduler();
     BatchScheduler(const BatchScheduler&) = delete;
     BatchScheduler& operator=(const BatchScheduler&) = delete;
@@ -113,6 +119,7 @@ private:
 
     ModelRegistry& registry_;
     SchedulerConfig cfg_;
+    bool owns_span_tree_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

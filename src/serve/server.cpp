@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -19,6 +20,12 @@ namespace nofis::serve {
 
 namespace {
 
+constexpr int kListenBacklog = 64;
+
+/// How long teardown lets connection writers flush resolved responses
+/// before it cuts them off; bounds shutdown when a peer stops reading.
+constexpr auto kFlushGrace = std::chrono::seconds(2);
+
 void send_all(int fd, const std::string& data) {
     std::size_t sent = 0;
     while (sent < data.size()) {
@@ -30,6 +37,17 @@ void send_all(int fd, const std::string& data) {
 }
 
 }  // namespace
+
+std::size_t route_worker(std::string_view model,
+                         std::size_t workers) noexcept {
+    if (workers <= 1) return 0;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : model) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(h % workers);
+}
 
 /// One accepted connection: a reader thread that decodes lines and submits
 /// them, and a writer thread that emits responses in request order. The fd
@@ -44,14 +62,21 @@ struct Server::Connection {
     std::condition_variable cv;
     std::deque<std::future<Response>> pending;  ///< responses, request order
     bool read_done = false;
+    bool write_done = false;  ///< writer flushed everything and exited
     bool broken = false;  ///< write side failed; drain without sending
 };
 
 Server::Server(ServerConfig cfg)
-    : cfg_(std::move(cfg)),
-      registry_(cfg_.model_dir),
-      scheduler_(registry_, cfg_.scheduler) {
-    scheduler_.set_shutdown_handler([this] { request_shutdown(); });
+    : cfg_(std::move(cfg)), registry_(cfg_.model_dir) {
+    const std::size_t shards = std::max<std::size_t>(1, cfg_.workers);
+    schedulers_.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+        // The telemetry span tree has one owner thread: shard 0's.
+        schedulers_.push_back(std::make_unique<BatchScheduler>(
+            registry_, cfg_.scheduler, /*owns_span_tree=*/i == 0));
+        schedulers_.back()->set_shutdown_handler(
+            [this] { request_shutdown(); });
+    }
 
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) throw std::runtime_error("serve: socket() failed");
@@ -71,7 +96,7 @@ Server::Server(ServerConfig cfg)
         throw std::runtime_error("serve: cannot bind " + cfg_.host + ":" +
                                  std::to_string(cfg_.port));
     }
-    if (::listen(listen_fd_, cfg_.backlog) != 0) {
+    if (::listen(listen_fd_, kListenBacklog) != 0) {
         ::close(listen_fd_);
         throw std::runtime_error("serve: listen() failed");
     }
@@ -103,7 +128,7 @@ void Server::accept_loop() {
                 std::this_thread::sleep_for(std::chrono::milliseconds(10));
                 continue;
             }
-            return;  // EBADF/EINVAL: listener closed underneath us
+            return;  // EINVAL: listener shut down underneath us
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -121,7 +146,10 @@ void Server::serve_connection(Connection& conn) {
     conn.reader = std::thread([this, &conn] {
         std::string buffer;
         char chunk[4096];
-        for (;;) {
+        // Stops at EOF, including the read-half shutdown of teardown; the
+        // stopped_ check keeps a peer that never stops sending from holding
+        // teardown open.
+        while (!stopped_.load(std::memory_order_relaxed)) {
             const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
             if (n <= 0) break;
             buffer.append(chunk, static_cast<std::size_t>(n));
@@ -135,7 +163,10 @@ void Server::serve_connection(Connection& conn) {
 
                 std::future<Response> future;
                 try {
-                    future = scheduler_.submit(Request::decode(line));
+                    Request req = Request::decode(line);
+                    BatchScheduler& shard = *schedulers_[route_worker(
+                        req.model, schedulers_.size())];
+                    future = shard.submit(std::move(req));
                 } catch (const ServeError& e) {
                     std::promise<Response> ready;
                     ready.set_value(Response::failure(Request{}, e));
@@ -164,7 +195,7 @@ void Server::serve_connection(Connection& conn) {
                 conn.cv.wait(lock, [&] {
                     return !conn.pending.empty() || conn.read_done;
                 });
-                if (conn.pending.empty()) return;  // read_done && drained
+                if (conn.pending.empty()) break;  // read_done && drained
                 next = std::move(conn.pending.front());
                 conn.pending.pop_front();
             }
@@ -178,6 +209,11 @@ void Server::serve_connection(Connection& conn) {
                 conn.broken = true;  // keep draining so futures are consumed
             }
         }
+        {
+            const std::lock_guard<std::mutex> lock(conn.mutex);
+            conn.write_done = true;
+        }
+        conn.cv.notify_all();
     });
 }
 
@@ -198,28 +234,35 @@ void Server::request_shutdown() {
     wait_cv_.notify_all();
 }
 
-void Server::close_listener() {
-    if (listen_fd_ >= 0) {
-        ::shutdown(listen_fd_, SHUT_RDWR);  // unblocks accept() on Linux
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-}
-
 void Server::shutdown() {
     if (stopped_.exchange(true)) return;
     request_shutdown();
-    close_listener();
+    // shutdown(2) unblocks accept(); the fd is closed only once the accept
+    // thread is joined, so no other thread ever sees it change.
+    ::shutdown(listen_fd_, SHUT_RDWR);
     if (accept_thread_.joinable()) accept_thread_.join();
+    ::close(listen_fd_);
+    listen_fd_ = -1;
 
-    // Drain + stop the scheduler first: every in-flight future resolves, so
-    // connection writers cannot block on get() below.
-    scheduler_.stop();
+    // Drain + stop every scheduler first: every in-flight future resolves,
+    // so connection writers cannot block on get() below.
+    for (auto& scheduler : schedulers_) scheduler->stop();
 
+    // Close only the read half, so the writer still sends every resolved
+    // response — the `shutdown` op's own ack among them — before the fd
+    // closes. A writer stuck on a peer that stopped reading is cut off at
+    // the flush deadline.
+    const auto flush_deadline = std::chrono::steady_clock::now() + kFlushGrace;
     const std::lock_guard<std::mutex> lock(conn_mutex_);
     for (auto& conn : connections_) {
-        ::shutdown(conn->fd, SHUT_RDWR);  // unblocks the reader's recv
+        ::shutdown(conn->fd, SHUT_RD);  // unblocks the reader's recv
         if (conn->reader.joinable()) conn->reader.join();
+        {
+            std::unique_lock<std::mutex> conn_lock(conn->mutex);
+            if (!conn->cv.wait_until(conn_lock, flush_deadline,
+                                     [&] { return conn->write_done; }))
+                ::shutdown(conn->fd, SHUT_RDWR);  // fails the stuck send
+        }
         if (conn->writer.joinable()) conn->writer.join();
         ::close(conn->fd);
         conn->fd = -1;

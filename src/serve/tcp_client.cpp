@@ -65,10 +65,6 @@ void TcpClient::send_line(const std::string& line) {
     }
 }
 
-void TcpClient::shutdown() noexcept {
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 std::string TcpClient::call_raw(const std::string& line) {
     send_line(line);
     return read_line();

@@ -34,15 +34,11 @@ public:
     /// Split halves of call_raw for pipelined use from two threads: one
     /// thread may send_line while another recv_lines — the halves share no
     /// state beyond the socket itself. Neither is safe to call from two
-    /// threads at once. The cluster front forwards requests this way.
+    /// threads at once.
     void send_line(const std::string& line);
     /// Next response line (newline stripped). Throws when the peer closes
     /// before a full line arrives.
     std::string recv_line() { return read_line(); }
-
-    /// Half-closes both directions, unblocking a recv_line() parked in
-    /// another thread. The object stays destructible afterwards.
-    void shutdown() noexcept;
 
 private:
     std::string read_line();

@@ -73,7 +73,8 @@ std::map<std::string, double> RunTrace::metrics() const {
 
 void set_active(RunTrace* trace) noexcept {
     if (trace != nullptr) {
-        trace->owner_ = std::this_thread::get_id();
+        trace->owner_.store(std::this_thread::get_id(),
+                            std::memory_order_relaxed);
         trace->current_ = &trace->root_;
     }
     detail::g_active.store(trace, std::memory_order_relaxed);
@@ -81,15 +82,19 @@ void set_active(RunTrace* trace) noexcept {
 
 void adopt_span_tree() noexcept {
     RunTrace* trace = active();
-    if (trace == nullptr || trace->owner_ == std::this_thread::get_id())
+    const std::thread::id self = std::this_thread::get_id();
+    if (trace == nullptr ||
+        trace->owner_.load(std::memory_order_relaxed) == self)
         return;
-    trace->owner_ = std::this_thread::get_id();
+    trace->owner_.store(self, std::memory_order_relaxed);
     trace->current_ = &trace->root_;
 }
 
 ScopedSpan::ScopedSpan(std::string_view name) {
     RunTrace* tr = active();
-    if (tr == nullptr || tr->owner_ != std::this_thread::get_id()) return;
+    if (tr == nullptr || tr->owner_.load(std::memory_order_relaxed) !=
+                             std::this_thread::get_id())
+        return;
     trace_ = tr;
     parent_ = tr->current_;
     node_ = &parent_->find_or_add(name);

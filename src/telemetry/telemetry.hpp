@@ -76,7 +76,9 @@ private:
 
     SpanNode root_;
     SpanNode* current_ = &root_;     ///< innermost open span
-    std::thread::id owner_;          ///< thread allowed to touch the tree
+    /// Thread allowed to touch the tree. Atomic because every thread that
+    /// opens a span reads it, while adopt_span_tree() moves it.
+    std::atomic<std::thread::id> owner_;
 
     mutable std::mutex mutex_;       ///< guards counters_ and metrics_
     std::map<std::string, std::uint64_t, std::less<>> counters_;

@@ -9,8 +9,8 @@
 namespace nofis::util {
 
 /// Minimal JSON document model: the serving wire protocol, the metrics
-/// documents (telemetry::RunTrace, the cluster fleet record) and the
-/// benchmark's result line all encode through it. Object members keep
+/// document (telemetry::RunTrace) and the benchmark's result line all
+/// encode through it. Object members keep
 /// insertion order so an encoded response is byte-stable: the serving
 /// determinism guarantee ("bitwise-identical responses regardless of
 /// batching, queue order or thread count") is checked on the encoded bytes.
@@ -55,11 +55,6 @@ public:
     const Json* find(std::string_view key) const noexcept;
     /// Appends (or overwrites) a member; returns *this for chaining.
     Json& set(std::string_view key, Json v);
-    /// Object members in insertion order (empty for non-objects). The
-    /// cluster metrics aggregator iterates worker records through this.
-    const std::vector<std::pair<std::string, Json>>& members() const noexcept {
-        return members_;
-    }
 
     /// Compact single-line encoding. Doubles use "%.17g" so every distinct
     /// double has one canonical spelling and values survive a round-trip.

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/nofis.hpp"
@@ -121,6 +125,35 @@ TEST(ParallelFor, NestedCallDegradesToInlineWithoutDeadlock) {
             });
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, SecondCallerCompletesWhileAnotherHoldsThePool) {
+    PoolGuard guard;
+    parallel::set_num_threads(2);
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    std::atomic<int> entered{0};
+    std::thread holder([&] {
+        parallel::parallel_for(2, [&](std::size_t, std::size_t) {
+            entered.fetch_add(1);
+            released.wait();
+        });
+    });
+    while (entered.load() < 2) std::this_thread::yield();  // both lanes held
+
+    auto second = std::async(std::launch::async, [] {
+        std::vector<int> hits(64, 0);
+        parallel::parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i) ++hits[i];
+        });
+        return std::count(hits.begin(), hits.end(), 1);
+    });
+    const bool completed = second.wait_for(std::chrono::seconds(5)) ==
+                           std::future_status::ready;
+    release.set_value();  // frees the holder either way, so failure cannot hang
+    holder.join();
+    EXPECT_TRUE(completed) << "parallel_for waited for another caller's job";
+    EXPECT_EQ(second.get(), 64);
 }
 
 TEST(ParallelFor, SetNumThreadsRoundTrips) {

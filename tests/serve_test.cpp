@@ -8,6 +8,8 @@
 // training determinism contract (DESIGN.md §8.2, §10).
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp_client.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -674,7 +677,6 @@ TEST_F(ServeFixture, ServerSurvivesClientDisconnectMidRequest) {
     serve::ServerConfig cfg;
     cfg.model_dir = dir_;
     cfg.port = 0;
-    cfg.backlog = 1;  // the tuned-down option must still serve fine
     serve::Server server(cfg);
     ASSERT_GT(server.port(), 0);
 
@@ -701,6 +703,243 @@ TEST_F(ServeFixture, ServerSurvivesClientDisconnectMidRequest) {
     EXPECT_TRUE(pong.ok);
     EXPECT_EQ(pong.id, 9u);
     server.shutdown();
+}
+
+TEST_F(ServeFixture, ShutdownAckReachesTheClient) {
+    // One lane and one-row batches: the configuration in which the ack is
+    // most often still unsent when teardown starts.
+    const PoolGuard guard;
+    parallel::set_num_threads(1);
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    cfg.scheduler.max_batch_rows = 1;
+    int lost = 0;
+    for (int i = 0; i < 100; ++i) {
+        serve::Server server(cfg);
+        // The CLI's serve loop: park until the op arrives, then tear down.
+        std::thread serve_loop([&server] {
+            server.wait();
+            server.shutdown();
+        });
+        try {
+            serve::TcpClient client("127.0.0.1", server.port());
+            Request down;
+            down.op = Op::kShutdown;
+            down.id = static_cast<std::uint64_t>(i);
+            if (!client.call(down).ok) ++lost;
+        } catch (const std::exception&) {
+            ++lost;  // connection closed before the ack arrived
+        }
+        server.request_shutdown();  // frees serve_loop if the call failed
+        serve_loop.join();
+    }
+    EXPECT_EQ(lost, 0);
+}
+
+TEST_F(ServeFixture, ShutdownStaysBoundedWhenAPeerStopsReading) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    serve::Server server(cfg);
+    // A peer with a tiny receive window that pipelines megabytes of sample
+    // responses and never reads them: the connection's writer blocks in
+    // send() while teardown waits to flush.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int small = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    Request req;
+    req.op = Op::kSample;
+    req.model = "toy3";
+    req.n = 2048;
+    std::string lines;
+    for (std::uint64_t id = 1; id <= 32; ++id) {
+        req.id = id;
+        req.seed = id;
+        lines += req.encode() + "\n";
+    }
+    ASSERT_EQ(::send(fd, lines.data(), lines.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(lines.size()));
+    // The one scheduler answers this ping after the samples queued ahead.
+    serve::TcpClient other("127.0.0.1", server.port());
+    Request ping;
+    ping.op = Op::kPing;
+    EXPECT_TRUE(other.call(ping).ok);
+
+    const auto start = std::chrono::steady_clock::now();
+    server.shutdown();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(20));
+    ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// Sharded server (--workers N)
+// ---------------------------------------------------------------------------
+
+TEST(ServeRouting, StableBalancedAndPinned) {
+    for (const char* name : {"toy3", "toy2", "a", "", "some/model"}) {
+        EXPECT_EQ(serve::route_worker(name, 1), 0u);
+        for (const std::size_t w : {2u, 3u, 4u, 7u}) {
+            const std::size_t first = serve::route_worker(name, w);
+            EXPECT_LT(first, w);
+            EXPECT_EQ(serve::route_worker(name, w), first) << "unstable hash";
+        }
+    }
+    // Pin the fixture models to distinct shards at N=2. Changing the hash
+    // function silently re-shards every deployment's disk caches — if this
+    // fails, that is a breaking change to call out, not a test to update.
+    EXPECT_EQ(serve::route_worker("toy3", 2), 0u);
+    EXPECT_EQ(serve::route_worker("toy2", 2), 1u);
+}
+
+/// A sharded server on an ephemeral port over the fixture's models.
+std::unique_ptr<serve::Server> start_server(const std::string& dir,
+                                            std::size_t workers) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir;
+    cfg.workers = workers;
+    return std::make_unique<serve::Server>(cfg);
+}
+
+Request sample_req(std::uint64_t id, const std::string& model,
+                   std::uint64_t seed, std::size_t n) {
+    Request req;
+    req.id = id;
+    req.op = Op::kSample;
+    req.model = model;
+    req.seed = seed;
+    req.n = n;
+    return req;
+}
+
+TEST_F(ServeFixture, TwoSchedulersServeSingleSchedulerBytes) {
+    // toy3 routes to shard 0 and toy2 to shard 1; model-less requests hash
+    // the empty name.
+    std::vector<std::string> lines;
+    std::uint64_t id = 1;
+    for (std::uint64_t seed : {11u, 22u, 33u})
+        lines.push_back(sample_req(id++, "toy3", seed, 2).encode());
+    for (std::uint64_t seed : {44u, 55u})
+        lines.push_back(sample_req(id++, "toy2", seed, 3).encode());
+    Request logp;
+    logp.id = id++;
+    logp.op = Op::kLogProb;
+    logp.model = "toy3";
+    logp.x = linalg::Matrix(2, 3);
+    logp.x(0, 1) = 0.5;
+    logp.x(1, 2) = -1.25;
+    lines.push_back(logp.encode());
+    Request est;
+    est.id = id++;
+    est.op = Op::kEstimate;
+    est.model = "toy2";
+    est.case_name = "Leaf";
+    est.seed = 7;
+    est.n = 500;
+    lines.push_back(est.encode());
+    for (const char* model : {"toy3", "toy2"}) {
+        Request info;
+        info.id = id++;
+        info.op = Op::kInfo;
+        info.model = model;
+        lines.push_back(info.encode());
+    }
+    Request ping;
+    ping.id = id++;
+    ping.op = Op::kPing;
+    lines.push_back(ping.encode());
+    Request list;
+    list.id = id++;
+    list.op = Op::kListModels;
+    lines.push_back(list.encode());
+
+    std::vector<std::vector<std::string>> served;
+    for (const std::size_t workers : {1u, 2u}) {
+        auto server = start_server(dir_, workers);
+        serve::TcpClient client("127.0.0.1", server->port());
+        std::vector<std::string> responses;
+        for (const auto& line : lines) {
+            responses.push_back(client.call_raw(line));
+            EXPECT_TRUE(Response::decode(responses.back()).ok)
+                << responses.back();
+        }
+        served.push_back(std::move(responses));
+        server->shutdown();
+    }
+    EXPECT_EQ(served[0], served[1]);
+}
+
+TEST_F(ServeFixture, ShardedReloadLosesNoRequests) {
+    auto server = start_server(dir_, 2);
+    serve::TcpClient client("127.0.0.1", server->port());
+    const std::string line = sample_req(1, "toy3", 7, 2).encode();
+    const std::string before = client.call_raw(line);
+    ASSERT_TRUE(Response::decode(before).ok);
+
+    // Traffic on both shards while toy3's weights swap under it.
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> failed{0};
+    std::vector<std::thread> traffic;
+    for (const char* model : {"toy3", "toy2"})
+        traffic.emplace_back([&, model] {
+            serve::TcpClient conn("127.0.0.1", server->port());
+            for (std::uint64_t seed = 1;
+                 !stop.load(std::memory_order_relaxed); ++seed)
+                if (!conn.call(sample_req(seed, model, seed, 2)).ok)
+                    failed.fetch_add(1);
+        });
+    flow::save_stack(make_perturbed_stack(3, 999), dir_ + "/toy3.nofisflow");
+    Request reload;
+    reload.op = Op::kReload;
+    reload.model = "toy3";
+    reload.id = 2;
+    const Response ack = client.call(reload);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& th : traffic) th.join();
+    ASSERT_TRUE(ack.ok) << ack.error_message;
+    EXPECT_EQ(failed.load(), 0u);
+
+    const std::string after = client.call_raw(line);
+    ASSERT_TRUE(Response::decode(after).ok);
+    EXPECT_NE(before, after) << "reload did not swap to the new weights";
+    server->shutdown();
+}
+
+TEST_F(ServeFixture, ShutdownOpStopsAShardedServer) {
+    auto server = start_server(dir_, 2);
+    serve::TcpClient client("127.0.0.1", server->port());
+    Request down;
+    down.op = Op::kShutdown;
+    down.id = 1;
+    EXPECT_TRUE(client.call(down).ok);
+    server->wait();  // returns because the shutdown op signalled it
+    server->shutdown();
+}
+
+TEST_F(ServeFixture, OneTraceCountsEveryScheduler) {
+    telemetry::RunTrace trace;
+    telemetry::set_active(&trace);
+    {
+        auto server = start_server(dir_, 2);
+        serve::TcpClient client("127.0.0.1", server->port());
+        for (std::uint64_t id = 1; id <= 4; ++id) {
+            const std::string model = id % 2 == 0 ? "toy2" : "toy3";
+            EXPECT_TRUE(client.call(sample_req(id, model, id, 1)).ok);
+        }
+        server->shutdown();
+    }
+    telemetry::set_active(nullptr);
+    // Both shards' requests land in the one trace; only shard 0 records
+    // spans.
+    EXPECT_EQ(trace.counter("serve.requests"), 4u);
+    EXPECT_NE(trace.root().find("serve_batch"), nullptr);
 }
 
 }  // namespace
