@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the numeric substrates: matmul,
 // LU solve, coupling-layer forward/inverse, full-flow sampling, MNA AC
-// solve, and one g() evaluation of each expensive test-case model. These
-// bound the wall-clock cost of a NOFIS run (MEN forward passes + g calls).
+// solve, one g() evaluation of each expensive test-case model, and one
+// Y-branch finite-difference gradient. These bound the wall-clock cost of
+// a NOFIS run (MEN forward passes + g calls).
 
 #include <benchmark/benchmark.h>
 
@@ -216,16 +217,41 @@ void BM_ChargePumpEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ChargePumpEval);
 
+// Seeded Y-branch inputs, drawn before timing: at a few µs per
+// transmission the 26 normal draws would be a visible share of the loop.
+std::vector<std::vector<double>> ybranch_inputs() {
+    rng::Engine eng(8);
+    std::vector<std::vector<double>> pool(64, std::vector<double>(26));
+    for (auto& x : pool) rng::fill_standard_normal(eng, x);
+    return pool;
+}
+
 void BM_YBranchEval(benchmark::State& state) {
     photonic::YBranchModel yb;
-    rng::Engine eng(8);
-    std::vector<double> x(26);
+    const auto pool = ybranch_inputs();
+    std::size_t i = 0;
     for (auto _ : state) {
-        rng::fill_standard_normal(eng, x);
-        benchmark::DoNotOptimize(yb.transmission(x));
+        benchmark::DoNotOptimize(yb.transmission(pool[i]));
+        i = (i + 1) % pool.size();
     }
 }
 BENCHMARK(BM_YBranchEval);
+
+// One central-difference gradient, 2·26 + 1 transmissions: where a YBranch
+// NOFIS run spends most of its time.
+void BM_YBranchGrad(benchmark::State& state) {
+    const auto tc = testcases::make_case("YBranch");
+    const auto pool = ybranch_inputs();
+    std::vector<double> grad(tc->dim());
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tc->g_grad(pool[i], grad));
+        benchmark::DoNotOptimize(grad.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % pool.size();
+    }
+}
+BENCHMARK(BM_YBranchGrad);
 
 }  // namespace
 

@@ -34,13 +34,18 @@ int main(int argc, char** argv) {
 
     // --- NOFIS at the paper's 45K-call budget -------------------------------
     const auto budget = opamp.nofis_budget();
+    // Every budget field, as `nofis_cli run` takes them.
     core::NofisConfig cfg;
+    cfg.layers_per_block = budget.layers_per_block;
+    cfg.hidden = budget.hidden;
     cfg.epochs = budget.epochs;
     cfg.samples_per_epoch = budget.samples_per_epoch;
-    cfg.n_is = budget.n_is;
-    cfg.tau = budget.tau;
     cfg.learning_rate = budget.learning_rate;
     cfg.lr_decay = budget.lr_decay;
+    cfg.tau = budget.tau;
+    cfg.n_is = budget.n_is;
+    cfg.defensive_weight = budget.defensive_weight;
+    cfg.defensive_sigma = budget.defensive_sigma;
     core::NofisEstimator nofis(cfg,
                                core::LevelSchedule::manual(budget.levels));
     rng::Engine eng(seed);

@@ -21,6 +21,10 @@ namespace nofis::photonic {
 ///    a small fundamental-mode scattering loss when the width deviates.
 /// The figure of merit is the fundamental-mode power transmission
 /// T = |a₁(L)|², and the failure event is T < 0.32.
+///
+/// The x-independent sine basis sin(kπz_s/L) at the segment centres and
+/// the amplitudes c_k are tabulated once at construction; a call only sums
+/// the deformation and propagates.
 class YBranchModel {
 public:
     struct Params {
@@ -53,9 +57,15 @@ public:
     std::size_t num_modes() const noexcept { return p_.num_modes; }
 
 private:
+    /// Width deviation δw at segment `s`: Σ_k (c_k·x_k)·sin(kπz_s/L),
+    /// summed in ascending k. Expression and order are part of the
+    /// determinism contract (DESIGN.md §2.1).
+    double deformation(std::size_t s, std::span<const double> x) const;
+
     Params p_;
-    std::vector<double> z_centers_;  ///< segment centres [µm]
     std::vector<double> w_nominal_;  ///< nominal width at centres
+    std::vector<double> mode_amp_;   ///< c_k, per mode
+    std::vector<double> basis_;      ///< sin(kπz_s/L), segments × num_modes
 };
 
 }  // namespace nofis::photonic

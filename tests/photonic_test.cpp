@@ -1,13 +1,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "evalcache/disk_log.hpp"
 #include "photonic/ybranch.hpp"
 #include "rng/normal.hpp"
+#include "testcases/circuit_cases.hpp"
 
 namespace {
 
 using nofis::photonic::YBranchModel;
+
+/// Fixed seeded inputs for the golden-bit tests: each standard-normal row
+/// is followed by the same row scaled by 2, which reaches strongly deformed,
+/// low-transmission regions.
+std::vector<std::vector<double>> golden_inputs(std::size_t draws) {
+    nofis::rng::Engine eng(21);
+    std::vector<std::vector<double>> rows;
+    for (std::size_t i = 0; i < draws; ++i) {
+        std::vector<double> x(26);
+        nofis::rng::fill_standard_normal(eng, x);
+        rows.push_back(x);
+        for (double& v : x) v *= 2.0;
+        rows.push_back(std::move(x));
+    }
+    return rows;
+}
+
+/// FNV-1a over the raw bytes of `v`: any change in any bit of any output
+/// changes the hash.
+std::uint64_t bits_hash(const std::vector<double>& v) {
+    return nofis::evalcache::fnv1a64(v.data(), v.size() * sizeof(double));
+}
 
 TEST(YBranch, NominalTransmissionInDesignWindow) {
     YBranchModel model;
@@ -102,6 +128,40 @@ TEST(YBranch, RejectsBadArguments) {
     YBranchModel::Params p;
     p.segments = 1;
     EXPECT_THROW(YBranchModel{p}, std::invalid_argument);
+}
+
+// The golden constants below pin the simulator's output bits on x86-64
+// with glibc's libm. The per-element deformation expression and its
+// summation order are part of the determinism contract (DESIGN.md §2.1), so
+// an optimisation of the model must leave every one of these hashes as is.
+TEST(YBranch, TransmissionBitsMatchGolden) {
+    YBranchModel model;
+    std::vector<double> t;
+    for (const auto& x : golden_inputs(100)) t.push_back(model.transmission(x));
+    EXPECT_EQ(bits_hash(t), 0x92a35c90ac4379d3ULL);
+}
+
+TEST(YBranch, WidthProfileBitsMatchGolden) {
+    YBranchModel model;
+    std::vector<double> w;
+    for (const auto& x : golden_inputs(100)) {
+        const auto profile = model.width_profile(x);
+        w.insert(w.end(), profile.begin(), profile.end());
+    }
+    EXPECT_EQ(bits_hash(w), 0xb5a49308bd29f72aULL);
+}
+
+TEST(YBranch, FiniteDifferenceGradientBitsMatchGolden) {
+    // YBranchCase has no analytic gradient: g_grad is the central-difference
+    // fallback, 2·26 + 1 transmissions per call.
+    nofis::testcases::YBranchCase yb;
+    std::vector<double> out;
+    std::vector<double> grad(yb.dim());
+    for (const auto& x : golden_inputs(8)) {
+        out.push_back(yb.g_grad(x, grad));
+        out.insert(out.end(), grad.begin(), grad.end());
+    }
+    EXPECT_EQ(bits_hash(out), 0xe2890d446703f400ULL);
 }
 
 }  // namespace
