@@ -206,9 +206,8 @@ estimators::GuardConfig::Policy parse_policy(const std::string& name) {
     if (name == "retry") return Policy::kRetryPerturb;
     if (name == "clamp") return Policy::kClampToFail;
     if (name == "propagate") return Policy::kPropagate;
-    std::fprintf(stderr, "warning: unknown policy '%s', using retry\n",
-                 name.c_str());
-    return Policy::kRetryPerturb;
+    throw std::invalid_argument("unknown policy '" + name +
+                                "' (expected retry|clamp|propagate)");
 }
 
 int cmd_train(int argc, char** argv) {

@@ -33,21 +33,7 @@
 
 namespace nofis::bench {
 
-inline core::NofisConfig nofis_config_from_budget(
-    const testcases::NofisBudget& b) {
-    core::NofisConfig cfg;
-    cfg.layers_per_block = b.layers_per_block;
-    cfg.hidden = b.hidden;
-    cfg.epochs = b.epochs;
-    cfg.samples_per_epoch = b.samples_per_epoch;
-    cfg.learning_rate = b.learning_rate;
-    cfg.lr_decay = b.lr_decay;
-    cfg.tau = b.tau;
-    cfg.n_is = b.n_is;
-    cfg.defensive_weight = b.defensive_weight;
-    cfg.defensive_sigma = b.defensive_sigma;
-    return cfg;
-}
+using testcases::nofis_config_from_budget;
 
 inline std::vector<std::string> all_method_names() {
     return {"MC", "SIR", "SUC", "SUS", "SSS", "Adapt-IS", "NOFIS"};

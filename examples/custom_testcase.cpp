@@ -12,11 +12,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/levels.hpp"
 #include "core/nofis.hpp"
 #include "rng/normal.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -44,8 +45,12 @@ public:
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+    const auto seed = argc > 1 ? util::parse_u64(argv[1])
+                               : std::optional<std::uint64_t>(3);
+    if (!seed) {
+        std::fprintf(stderr, "error: invalid seed '%s'\n", argv[1]);
+        return 2;
+    }
 
     SramCell cell;
     std::printf("Custom test case: 6T SRAM static-noise-margin model\n");
@@ -54,7 +59,7 @@ int main(int argc, char** argv) {
 
     // 1. Let the library pick the nested subset levels from a pilot batch
     //    (the paper's future-work extension; calls are counted).
-    rng::Engine eng(seed);
+    rng::Engine eng(*seed);
     estimators::CountedProblem counted(cell);
     core::AutoLevelConfig auto_cfg;
     auto_cfg.num_levels = 5;

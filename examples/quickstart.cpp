@@ -7,18 +7,23 @@
 //   ./build/examples/quickstart [seed]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/nofis.hpp"
 #include "estimators/monte_carlo.hpp"
 #include "testcases/synthetic.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
     using namespace nofis;
 
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
-    rng::Engine eng(seed);
+    const auto seed = argc > 1 ? util::parse_u64(argv[1])
+                               : std::optional<std::uint64_t>(7);
+    if (!seed) {
+        std::fprintf(stderr, "error: invalid seed '%s'\n", argv[1]);
+        return 2;
+    }
+    rng::Engine eng(*seed);
 
     testcases::LeafCase problem;
     const double golden = problem.golden_pr();
@@ -27,18 +32,7 @@ int main(int argc, char** argv) {
 
     // --- NOFIS -------------------------------------------------------------
     const auto budget = problem.nofis_budget();
-    // Every budget field, as `nofis_cli run` takes them.
-    core::NofisConfig cfg;
-    cfg.layers_per_block = budget.layers_per_block;
-    cfg.hidden = budget.hidden;
-    cfg.epochs = budget.epochs;
-    cfg.samples_per_epoch = budget.samples_per_epoch;
-    cfg.learning_rate = budget.learning_rate;
-    cfg.lr_decay = budget.lr_decay;
-    cfg.tau = budget.tau;
-    cfg.n_is = budget.n_is;
-    cfg.defensive_weight = budget.defensive_weight;
-    cfg.defensive_sigma = budget.defensive_sigma;
+    const core::NofisConfig cfg = testcases::nofis_config_from_budget(budget);
 
     core::NofisEstimator nofis(cfg, core::LevelSchedule::manual(budget.levels));
     auto run = nofis.run(problem, eng);

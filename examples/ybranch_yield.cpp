@@ -7,17 +7,22 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/nofis.hpp"
 #include "rng/normal.hpp"
 #include "testcases/circuit_cases.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
     using namespace nofis;
 
-    const std::uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5;
+    const auto seed = argc > 1 ? util::parse_u64(argv[1])
+                               : std::optional<std::uint64_t>(5);
+    if (!seed) {
+        std::fprintf(stderr, "error: invalid seed '%s'\n", argv[1]);
+        return 2;
+    }
 
     testcases::YBranchCase yb;
     const std::vector<double> nominal(yb.dim(), 0.0);
@@ -26,21 +31,10 @@ int main(int argc, char** argv) {
                 100.0 * yb.model().transmission(nominal));
 
     const auto budget = yb.nofis_budget();
-    // Every budget field, as `nofis_cli run` takes them.
-    core::NofisConfig cfg;
-    cfg.layers_per_block = budget.layers_per_block;
-    cfg.hidden = budget.hidden;
-    cfg.epochs = budget.epochs;
-    cfg.samples_per_epoch = budget.samples_per_epoch;
-    cfg.learning_rate = budget.learning_rate;
-    cfg.lr_decay = budget.lr_decay;
-    cfg.tau = budget.tau;
-    cfg.n_is = budget.n_is;
-    cfg.defensive_weight = budget.defensive_weight;
-    cfg.defensive_sigma = budget.defensive_sigma;
+    const core::NofisConfig cfg = testcases::nofis_config_from_budget(budget);
     core::NofisEstimator nofis(cfg,
                                core::LevelSchedule::manual(budget.levels));
-    rng::Engine eng(seed);
+    rng::Engine eng(*seed);
     auto run = nofis.run(yb, eng);
 
     std::printf("\nNOFIS (%zu calls): P[T < 32%%] = %.3e  (golden %.3e)\n",
@@ -49,7 +43,7 @@ int main(int argc, char** argv) {
     // Failure-mechanism analysis: the learned proposal q_MK concentrates on
     // the failure set, so its per-mode second moments reveal which
     // deformation modes drive transmission loss.
-    rng::Engine probe(seed + 1);
+    rng::Engine probe(*seed + 1);
     const auto samples = run.flow->sample(probe, 2000, run.flow->num_blocks());
     std::printf("\nDeformation-mode energy of the learned failure "
                 "distribution\n(E[x_k^2] under q_MK; p would give 1.0 "

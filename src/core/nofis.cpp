@@ -24,6 +24,18 @@ using estimators::CountedProblem;
 using estimators::EstimateResult;
 using linalg::Matrix;
 
+/// Global-norm gradient clip for flow training.
+constexpr double kGradClip = 50.0;
+/// A pre-clip gradient norm above kGradExplodeFactor × the clip counts as
+/// stage divergence.
+constexpr double kGradExplodeFactor = 100.0;
+/// Per-retry factors applied after a stage rollback: each retry trains
+/// with a smaller learning rate, a tighter gradient clip and a tighter
+/// coupling scale cap on the rolled-back block.
+constexpr double kRetryLrFactor = 0.5;
+constexpr double kRetryGradClipFactor = 0.5;
+constexpr double kRetryScaleCapFactor = 0.7;
+
 /// min(τ(a - g), 0): the tempered log-weight of Eq. (6)/(9).
 double tempered_log_weight(double tau, double a, double g) {
     return std::min(tau * (a - g), 0.0);
@@ -55,7 +67,9 @@ StageDiagnostics to_diagnostics(const checkpoint::StageRecord& r) {
 
 /// Identity of a run for checkpoint purposes: every config field that
 /// shapes the training trajectory, plus the level schedule and problem
-/// dimension. Deliberately excludes `threads` and the cache wiring — both
+/// dimension. The training constants above sit where they were added when
+/// they were still config fields, so older snapshots keep resuming.
+/// Deliberately excludes `threads` and the cache wiring — both
 /// are bitwise-orthogonal to results — so a snapshot taken at --threads 8
 /// resumes fine at --threads 1 and vice versa.
 std::uint64_t run_fingerprint(const NofisConfig& cfg,
@@ -70,7 +84,8 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
     fp.add(static_cast<std::uint64_t>(cfg.layers_per_block));
     fp.add(static_cast<std::uint64_t>(cfg.hidden.size()));
     for (std::size_t h : cfg.hidden) fp.add(static_cast<std::uint64_t>(h));
-    fp.add(cfg.scale_cap)
+    // Every stack starts at StackConfig's default scale cap.
+    fp.add(flow::StackConfig{}.scale_cap)
         .add(static_cast<std::uint64_t>(cfg.coupling))
         .add(static_cast<std::uint64_t>(cfg.use_actnorm));
     // Spline knobs fold in only for rqs runs so every pre-rqs fingerprint
@@ -92,7 +107,7 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
         .add(static_cast<std::uint64_t>(cfg.samples_per_epoch))
         .add(cfg.learning_rate)
         .add(cfg.lr_decay)
-        .add(cfg.grad_clip)
+        .add(kGradClip)
         .add(cfg.tau)
         .add(static_cast<std::uint64_t>(cfg.n_is))
         .add(static_cast<std::uint64_t>(cfg.freeze_previous))
@@ -104,11 +119,11 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
         .add(cfg.guard.clamp_value)
         .add(cfg.guard.seed)
         .add(static_cast<std::uint64_t>(cfg.stage_max_retries))
-        .add(cfg.retry_lr_factor)
-        .add(cfg.retry_grad_clip_factor)
-        .add(cfg.retry_scale_cap_factor)
-        .add(cfg.min_inside_fraction)
-        .add(cfg.grad_explode_factor)
+        .add(kRetryLrFactor)
+        .add(kRetryGradClipFactor)
+        .add(kRetryScaleCapFactor)
+        .add(0.0)  // retired inside-fraction threshold: never fired
+        .add(kGradExplodeFactor)
         .add(std::uint64_t{0})  // retired grad-clip mode: always global norm
         .add(cfg.checkpoint.salt);
     return fp.value();
@@ -154,7 +169,6 @@ NofisEstimator::RunResult NofisEstimator::run(
     scfg.num_blocks = num_stages;
     scfg.layers_per_block = cfg_.layers_per_block;
     scfg.hidden = cfg_.hidden;
-    scfg.scale_cap = cfg_.scale_cap;
     scfg.coupling = cfg_.coupling;
     scfg.use_actnorm = cfg_.use_actnorm;
     scfg.rqs_bins = cfg_.rqs_bins;
@@ -284,7 +298,7 @@ NofisEstimator::RunResult NofisEstimator::run(
         }
 
         const double explode_limit =
-            nn::grad_explode_limit(clip, cfg_.grad_explode_factor);
+            nn::grad_explode_limit(clip, kGradExplodeFactor);
 
         if (resume.start_epoch == 0) {
             diag.epoch_loss.clear();
@@ -453,10 +467,6 @@ NofisEstimator::RunResult NofisEstimator::run(
             diag.epoch_loss.push_back(true_loss);
             diag.inside_fraction = inside;
         }
-
-        if (abort_on_divergence &&
-            diag.inside_fraction < cfg_.min_inside_fraction)
-            return {true, "inside-fraction collapse"};
         return {};
     };
 
@@ -475,7 +485,7 @@ NofisEstimator::RunResult NofisEstimator::run(
             // rolled-back retries restart training from exactly this state.
             flow::ParamSnapshot anchor;
             double lr = cfg_.learning_rate;
-            double clip = cfg_.grad_clip;
+            double clip = kGradClip;
             std::size_t first_attempt = 0;
             StageResume stage_resume;
             if (resumed && resumed->has_partial && m == start_stage) {
@@ -503,9 +513,9 @@ NofisEstimator::RunResult NofisEstimator::run(
                 if (!out.diverged || last_attempt) break;
 
                 flow::restore_params(*stack, anchor);
-                stack->tighten_scale_cap(m - 1, cfg_.retry_scale_cap_factor);
-                lr *= cfg_.retry_lr_factor;
-                clip *= cfg_.retry_grad_clip_factor;
+                stack->tighten_scale_cap(m - 1, kRetryScaleCapFactor);
+                lr *= kRetryLrFactor;
+                clip *= kRetryGradClipFactor;
                 ++diag.retries;
                 diag.retry_reasons.emplace_back(out.reason);
             }

@@ -21,7 +21,6 @@ struct NofisConfig {
     // Flow architecture.
     std::size_t layers_per_block = 8;           ///< K
     std::vector<std::size_t> hidden = {32, 32}; ///< conditioner MLP layout
-    double scale_cap = 2.0;                     ///< log-scale bound per layer
     flow::CouplingKind coupling = flow::CouplingKind::kAffine;
     bool use_actnorm = false;                   ///< Glow-style ActNorm layers
     std::size_t rqs_bins = 8;  ///< spline bins per dim (coupling == kRqs)
@@ -37,7 +36,6 @@ struct NofisConfig {
     double learning_rate = 5e-3;
     /// Multiplicative per-epoch LR decay within each stage (1 = constant).
     double lr_decay = 1.0;
-    double grad_clip = 50.0;  ///< global-norm gradient clip
 
     // NOFIS specifics.
     double tau = 20.0;          ///< temperature of the tempered targets
@@ -70,22 +68,13 @@ struct NofisConfig {
     estimators::GuardConfig guard;
     /// R — rollback-retries per stage. Before each stage the flow
     /// parameters are checkpointed; when the stage diverges (non-finite KL
-    /// loss / flow output, exploding gradient norm, or inside-fraction
-    /// collapse) the checkpoint is restored and the stage retrained with
-    /// the factors below applied per retry. After R failed retries the
-    /// stage runs once more in the legacy skip-bad-epochs mode so the run
-    /// always completes. 0 disables rollback entirely.
+    /// loss / flow output or exploding gradient norm) the checkpoint is
+    /// restored and the stage retrained with a smaller learning rate,
+    /// gradient clip and coupling scale cap (the retry constants in
+    /// core/nofis.cpp, DESIGN.md §7.3). After R failed retries the stage
+    /// runs once more in the legacy skip-bad-epochs mode so the run always
+    /// completes. 0 disables rollback entirely.
     std::size_t stage_max_retries = 2;
-    double retry_lr_factor = 0.5;         ///< learning-rate shrink per retry
-    double retry_grad_clip_factor = 0.5;  ///< grad-clip tighten per retry
-    double retry_scale_cap_factor = 0.7;  ///< coupling scale-cap tighten
-    /// Stage-end divergence test: final inside_fraction below this triggers
-    /// a rollback (0 disables — the paper's level schedules keep the
-    /// nominal fraction well above any sensible threshold).
-    double min_inside_fraction = 0.0;
-    /// Pre-clip gradient norm above nn::grad_explode_limit(grad_clip,
-    /// grad_explode_factor) counts as divergence.
-    double grad_explode_factor = 100.0;
 
     // --- evaluation cache (DESIGN.md, "Evaluation cache").
     /// Optional shared two-tier g-evaluation cache. When set, every value

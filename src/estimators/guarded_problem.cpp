@@ -69,22 +69,6 @@ std::size_t FaultReport::total_faults() const noexcept {
     return total;
 }
 
-void FaultReport::merge(const FaultReport& other) {
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] += other.counts[i];
-    retry_attempts += other.retry_attempts;
-    recovered += other.recovered;
-    clamped += other.clamped;
-    propagated += other.propagated;
-    if (!has_first && other.has_first) {
-        has_first = true;
-        first_kind = other.first_kind;
-        first_message = other.first_message;
-        first_x = other.first_x;
-        first_call_index = other.first_call_index;
-    }
-}
-
 std::string FaultReport::summary() const {
     std::ostringstream os;
     os << total_faults() << " fault(s)";

@@ -56,8 +56,6 @@ struct FaultReport {
     }
     std::size_t total_faults() const noexcept;
 
-    void merge(const FaultReport& other);
-
     /// One-line human-readable digest ("12 faults (nan:8 newton:4), ...").
     std::string summary() const;
 };

@@ -51,17 +51,6 @@ std::vector<double> CountedProblem::g_rows(const linalg::Matrix& x) {
     return p_->g_rows(x);
 }
 
-std::vector<double> CountedProblem::g_grad_rows(const linalg::Matrix& x,
-                                                linalg::Matrix& grad_out) {
-    if (x.cols() != dim())
-        throw std::invalid_argument("g_grad_rows: dimension mismatch");
-    grad_out = linalg::Matrix(x.rows(), x.cols());
-    std::vector<double> out(x.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        out[r] = g_grad(x.row_span(r), grad_out.row_span(r));
-    return out;
-}
-
 double log_error(double p_hat, double golden, double floor) {
     if (!(golden > 0.0))
         throw std::invalid_argument("log_error: golden must be positive");

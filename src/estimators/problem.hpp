@@ -93,11 +93,6 @@ public:
     /// override with deterministic per-row call indices).
     std::vector<double> g_rows(const linalg::Matrix& x);
 
-    /// Evaluates g and its gradient on every row; gradients land in the
-    /// rows of `grad_out` (same shape as x). Serial — not a hot path.
-    std::vector<double> g_grad_rows(const linalg::Matrix& x,
-                                    linalg::Matrix& grad_out);
-
     std::size_t calls() const noexcept {
         return calls_.load(std::memory_order_relaxed);
     }

@@ -45,27 +45,6 @@ std::vector<double> Cholesky::solve(std::span<const double> b) const {
     return y;
 }
 
-std::vector<double> Cholesky::multiply_lower(std::span<const double> x) const {
-    if (x.size() != n_)
-        throw std::invalid_argument("Cholesky::multiply_lower: bad size");
-    std::vector<double> y(n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i)
-        for (std::size_t k = 0; k <= i; ++k) y[i] += l_(i, k) * x[k];
-    return y;
-}
-
-std::vector<double> Cholesky::solve_lower(std::span<const double> b) const {
-    if (b.size() != n_)
-        throw std::invalid_argument("Cholesky::solve_lower: bad size");
-    std::vector<double> y(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-        double s = b[i];
-        for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * y[k];
-        y[i] = s / l_(i, i);
-    }
-    return y;
-}
-
 double Cholesky::log_determinant() const noexcept {
     double s = 0.0;
     for (std::size_t i = 0; i < n_; ++i) s += std::log(l_(i, i));

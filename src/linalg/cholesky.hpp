@@ -8,8 +8,7 @@ namespace nofis::linalg {
 
 /// Cholesky factorisation A = L·Lᵀ of a symmetric positive-definite matrix.
 ///
-/// Used by the full-covariance Gaussian (sampling = L·z, log-pdf needs
-/// log det = 2·Σ log L_ii) and by the normal-equation least-squares path.
+/// Used by the normal-equation least-squares path.
 class Cholesky {
 public:
     /// Throws std::runtime_error when A is not positive definite (within a
@@ -23,12 +22,6 @@ public:
 
     /// Solves A x = b via two triangular solves.
     std::vector<double> solve(std::span<const double> b) const;
-
-    /// y = L x (for transforming standard-normal draws).
-    std::vector<double> multiply_lower(std::span<const double> x) const;
-
-    /// Solves L y = b (forward substitution only).
-    std::vector<double> solve_lower(std::span<const double> b) const;
 
     /// log det A = 2 Σ log L_ii.
     double log_determinant() const noexcept;

@@ -45,12 +45,6 @@ Matrix Matrix::identity(std::size_t n) {
     return m;
 }
 
-Matrix Matrix::zeros(std::size_t rows, std::size_t cols) { return {rows, cols}; }
-
-Matrix Matrix::ones(std::size_t rows, std::size_t cols) {
-    return {rows, cols, 1.0};
-}
-
 Matrix Matrix::diag(std::span<const double> d) {
     Matrix m(d.size(), d.size());
     for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];

@@ -29,8 +29,6 @@ public:
     Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
     static Matrix identity(std::size_t n);
-    static Matrix zeros(std::size_t rows, std::size_t cols);
-    static Matrix ones(std::size_t rows, std::size_t cols);
     /// Diagonal matrix from a vector of diagonal entries.
     static Matrix diag(std::span<const double> d);
     /// 1 x n row vector wrapping a copy of `v`.

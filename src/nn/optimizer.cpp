@@ -5,43 +5,30 @@
 
 namespace nofis::nn {
 
-namespace {
+double grad_explode_limit(double limit, double explode_factor) noexcept {
+    return explode_factor * limit;
+}
 
-/// Copies exported slot matrices back into live storage, verifying shapes.
-void restore_slots(const char* who, const std::vector<linalg::Matrix>& src,
-                   std::vector<linalg::Matrix>* const* dests,
-                   std::size_t dest_count) {
-    std::size_t expected = 0;
-    for (std::size_t j = 0; j < dest_count; ++j) expected += dests[j]->size();
-    if (src.size() != expected)
-        throw std::runtime_error(std::string(who) +
-                                 ": optimizer state slot count mismatch");
-    std::size_t i = 0;
-    for (std::size_t j = 0; j < dest_count; ++j) {
-        for (auto& dst : *dests[j]) {
-            const auto& s = src[i++];
-            if (s.rows() != dst.rows() || s.cols() != dst.cols())
-                throw std::runtime_error(
-                    std::string(who) + ": optimizer state shape mismatch");
-            dst = s;
-        }
+Adam::Adam(std::vector<autodiff::Var> params, double lr, double beta1,
+           double beta2, double eps)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps) {
+    m_.reserve(params_.size());
+    v_.reserve(params_.size());
+    for (const auto& p : params_) {
+        m_.emplace_back(p.value().rows(), p.value().cols());
+        v_.emplace_back(p.value().rows(), p.value().cols());
     }
 }
 
-}  // namespace
-
-void Optimizer::import_state(const OptimizerState& state) {
-    if (state.step_count != 0 || !state.slots.empty())
-        throw std::runtime_error(
-            "Optimizer::import_state: stateless optimizer given a non-empty "
-            "state");
-}
-
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
     for (auto& p : params_) p.zero_grad();
 }
 
-double Optimizer::clip_grad_norm(double max_norm) {
+double Adam::clip_grad_norm(double max_norm) {
     double sq = 0.0;
     for (const auto& p : params_) {
         if (!p.requires_grad()) continue;
@@ -61,58 +48,6 @@ double Optimizer::clip_grad_norm(double max_norm) {
     return norm;
 }
 
-double grad_explode_limit(double limit, double explode_factor) noexcept {
-    return explode_factor * limit;
-}
-
-Sgd::Sgd(std::vector<autodiff::Var> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_)
-        velocity_.emplace_back(p.value().rows(), p.value().cols());
-}
-
-OptimizerState Sgd::export_state() const {
-    OptimizerState s;
-    s.step_count = 0;
-    s.slots = velocity_;
-    return s;
-}
-
-void Sgd::import_state(const OptimizerState& state) {
-    std::vector<linalg::Matrix>* dests[] = {&velocity_};
-    restore_slots("Sgd", state.slots, dests, 1);
-}
-
-void Sgd::step() {
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        auto& p = params_[i];
-        if (!p.requires_grad() || p.grad().empty()) continue;
-        if (momentum_ != 0.0) {
-            velocity_[i] *= momentum_;
-            velocity_[i] += p.grad();
-            p.mutable_value() -= velocity_[i] * lr_;
-        } else {
-            p.mutable_value() -= p.grad() * lr_;
-        }
-    }
-}
-
-Adam::Adam(std::vector<autodiff::Var> params, double lr, double beta1,
-           double beta2, double eps)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
-    m_.reserve(params_.size());
-    v_.reserve(params_.size());
-    for (const auto& p : params_) {
-        m_.emplace_back(p.value().rows(), p.value().cols());
-        v_.emplace_back(p.value().rows(), p.value().cols());
-    }
-}
-
 OptimizerState Adam::export_state() const {
     OptimizerState s;
     s.step_count = t_;
@@ -123,8 +58,20 @@ OptimizerState Adam::export_state() const {
 }
 
 void Adam::import_state(const OptimizerState& state) {
-    std::vector<linalg::Matrix>* dests[] = {&m_, &v_};
-    restore_slots("Adam", state.slots, dests, 2);
+    // The state may come from checkpoint bytes decoded from disk, so its
+    // layout is checked against the live moments before anything is copied.
+    if (state.slots.size() != m_.size() + v_.size())
+        throw std::runtime_error("Adam: optimizer state slot count mismatch");
+    for (std::size_t i = 0; i < state.slots.size(); ++i) {
+        const auto& live = i < m_.size() ? m_[i] : v_[i - m_.size()];
+        if (state.slots[i].rows() != live.rows() ||
+            state.slots[i].cols() != live.cols())
+            throw std::runtime_error("Adam: optimizer state shape mismatch");
+    }
+    for (std::size_t i = 0; i < m_.size(); ++i) {
+        m_[i] = state.slots[i];
+        v_[i] = state.slots[m_.size() + i];
+    }
     t_ = state.step_count;
 }
 

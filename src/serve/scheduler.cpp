@@ -135,11 +135,6 @@ void BatchScheduler::set_shutdown_handler(std::function<void()> handler) {
     shutdown_handler_ = std::move(handler);
 }
 
-std::size_t BatchScheduler::queue_depth() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
 std::vector<BatchScheduler::Pending> BatchScheduler::assemble_locked(
     std::unique_lock<std::mutex>& lock) {
     (void)lock;  // caller holds mutex_

@@ -94,7 +94,6 @@ public:
     void set_shutdown_handler(std::function<void()> handler);
 
     const SchedulerConfig& config() const noexcept { return cfg_; }
-    std::size_t queue_depth() const;
 
 private:
     struct Pending {

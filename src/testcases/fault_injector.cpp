@@ -45,15 +45,6 @@ FaultInjector::FaultInjector(const estimators::RareEventProblem& inner,
     }
 }
 
-void FaultInjector::reset_counters() noexcept {
-    calls_.store(0, std::memory_order_relaxed);
-    nan_.store(0, std::memory_order_relaxed);
-    thrown_singular_.store(0, std::memory_order_relaxed);
-    thrown_nonconv_.store(0, std::memory_order_relaxed);
-    inf_.store(0, std::memory_order_relaxed);
-    latency_.store(0, std::memory_order_relaxed);
-}
-
 FaultInjector::Inject FaultInjector::decide(std::size_t index) const noexcept {
     if (index >= cfg_.nan_burst_begin && index < cfg_.nan_burst_end)
         return Inject::kNan;

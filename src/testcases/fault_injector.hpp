@@ -98,7 +98,6 @@ public:
     std::size_t injected_total() const noexcept {
         return injected_nan() + injected_inf() + injected_throws();
     }
-    void reset_counters() noexcept;
 
     /// The process-global I/O fault injector owned by this FaultInjector
     /// (null when every io_* rate is zero). Tests read its ledger to check

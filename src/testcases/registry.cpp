@@ -32,10 +32,4 @@ std::unique_ptr<TestCase> make_case(const std::string& name) {
     throw std::invalid_argument("make_case: unknown test case '" + name + "'");
 }
 
-std::vector<std::unique_ptr<TestCase>> make_all_cases() {
-    std::vector<std::unique_ptr<TestCase>> out;
-    for (const auto& name : all_case_names()) out.push_back(make_case(name));
-    return out;
-}
-
 }  // namespace nofis::testcases

@@ -20,7 +20,4 @@ std::vector<std::string> extension_case_names();
 /// callers running repeated estimates should construct once and reuse.
 std::unique_ptr<TestCase> make_case(const std::string& name);
 
-/// Constructs every Table-1 case, in order.
-std::vector<std::unique_ptr<TestCase>> make_all_cases();
-
 }  // namespace nofis::testcases

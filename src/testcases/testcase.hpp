@@ -6,6 +6,10 @@
 
 #include "estimators/problem.hpp"
 
+namespace nofis::core {
+struct NofisConfig;
+}
+
 namespace nofis::testcases {
 
 /// Per-case NOFIS hyper-parameters (Table 1 uses case-specific M, E, N,
@@ -28,6 +32,12 @@ struct NofisBudget {
         return levels.size() * epochs * samples_per_epoch + n_is;
     }
 };
+
+/// The NOFIS config that runs Algorithm 1 at budget `b`: every budget
+/// field except the levels (which go to core::LevelSchedule) is copied in,
+/// and every other knob keeps its NofisConfig default. Include
+/// core/nofis.hpp to use the result.
+core::NofisConfig nofis_config_from_budget(const NofisBudget& b);
 
 /// Per-case budgets for the six baselines, sized to the call counts the
 /// paper reports for each Table-1 row.

@@ -70,10 +70,6 @@ IoFaultInjector* io_fault_injector() noexcept {
     return g_injector.load(std::memory_order_relaxed);
 }
 
-void set_io_fault_injector(IoFaultInjector* injector) noexcept {
-    g_injector.store(injector, std::memory_order_relaxed);
-}
-
 ScopedIoFaultInjector::ScopedIoFaultInjector(IoFaultInjector* injector)
     : previous_(g_injector.exchange(injector, std::memory_order_relaxed)) {}
 

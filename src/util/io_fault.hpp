@@ -90,7 +90,6 @@ private:
 /// nullptr (the default) is the zero-cost off mode: one relaxed load and no
 /// hashing on every durable write. Not owned; the installer keeps it alive.
 IoFaultInjector* io_fault_injector() noexcept;
-void set_io_fault_injector(IoFaultInjector* injector) noexcept;
 
 /// RAII installer: swaps the global injector in on construction and restores
 /// the previous one on destruction (tests and FaultInjector use this so a

@@ -278,6 +278,25 @@ TEST(CheckpointState, AdamExportImportContinuesBitwise) {
     }
 }
 
+TEST(CheckpointState, AdamImportRejectsMismatchedLayout) {
+    // Checkpoint bytes come from disk: a state whose slot count or slot
+    // shapes do not match the live parameters must be refused, not copied.
+    std::vector<autodiff::Var> params{autodiff::Var(linalg::Matrix(2, 3), true),
+                                      autodiff::Var(linalg::Matrix(1, 3), true)};
+    nn::Adam opt(params, 1e-2);
+    const nn::OptimizerState good = opt.export_state();
+    ASSERT_EQ(good.slots.size(), 4u);
+    EXPECT_NO_THROW(opt.import_state(good));
+
+    nn::OptimizerState short_state = good;
+    short_state.slots.pop_back();
+    EXPECT_THROW(opt.import_state(short_state), std::runtime_error);
+
+    nn::OptimizerState reshaped = good;
+    reshaped.slots[3] = linalg::Matrix(3, 1);
+    EXPECT_THROW(opt.import_state(reshaped), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot encoding
 // ---------------------------------------------------------------------------
@@ -567,6 +586,28 @@ TEST_F(CheckpointResumeTest, CorruptLatestSnapshotResumesFromPrevious) {
     rng::Engine eng2(7);
     const auto resumed = NofisEstimator(cfg, tiny_levels()).run(problem, eng2);
     expect_same_run(reference, resumed);
+}
+
+TEST_F(CheckpointResumeTest, DefaultConfigFingerprintIsPinned) {
+    // Snapshots written by earlier builds must keep resuming: the run
+    // identity of a default-config run may not move when config fields are
+    // renamed, reordered or replaced by constants.
+    HalfSpace2D problem(2.5);
+    NofisConfig cfg;
+    cfg.checkpoint.dir = dir_;
+    cfg.checkpoint.crash_after_snapshots = 1;  // stop after stage 1
+    rng::Engine eng(7);
+    EXPECT_THROW(NofisEstimator(cfg, tiny_levels()).run(problem, eng),
+                 checkpoint::SimulatedCrash);
+    const auto files = snapshot_files(dir_);
+    ASSERT_EQ(files.size(), 1u);
+    std::ifstream in(files.front(), std::ios::binary);
+    const std::string blob((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto snap = checkpoint::decode_snapshot(blob);
+    ASSERT_TRUE(snap.has_value());
+    EXPECT_EQ(snap->next_stage, 2u);
+    EXPECT_EQ(snap->fingerprint, 0x913df4259d4ebc2dULL);
 }
 
 TEST_F(CheckpointResumeTest, ChangedConfigRefusesToResume) {

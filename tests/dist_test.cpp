@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "dist/diag_gaussian.hpp"
-#include "dist/full_gaussian.hpp"
 #include "dist/gaussian_mixture.hpp"
 #include "dist/standard_normal.hpp"
 #include "rng/normal.hpp"
@@ -12,7 +11,6 @@
 namespace {
 
 using nofis::dist::DiagGaussian;
-using nofis::dist::FullGaussian;
 using nofis::dist::GaussianMixture;
 using nofis::dist::StandardNormal;
 using nofis::linalg::Matrix;
@@ -72,39 +70,6 @@ TEST(DiagGaussianDist, IsotropicMatchesScaledStandard) {
     const double x[] = {1.0, 2.0, -1.0};
     const double xs[] = {0.5, 1.0, -0.5};
     EXPECT_NEAR(d.log_pdf(x), s.log_pdf(xs) - 3.0 * std::log(2.0), 1e-12);
-}
-
-TEST(FullGaussianDist, MatchesDiagWhenCovarianceDiagonal) {
-    const Matrix cov{{0.25, 0.0}, {0.0, 4.0}};
-    FullGaussian f({1.0, -2.0}, cov);
-    DiagGaussian d({1.0, -2.0}, {0.5, 2.0});
-    const double x[] = {0.3, 1.1};
-    EXPECT_NEAR(f.log_pdf(x), d.log_pdf(x), 1e-10);
-}
-
-TEST(FullGaussianDist, CorrelatedSampleCovariance) {
-    const Matrix cov{{1.0, 0.8}, {0.8, 1.0}};
-    FullGaussian f({0.0, 0.0}, cov);
-    Engine eng(3);
-    const Matrix x = f.sample(eng, 50000);
-    double cxy = 0.0;
-    for (std::size_t r = 0; r < x.rows(); ++r) cxy += x(r, 0) * x(r, 1);
-    cxy /= static_cast<double>(x.rows());
-    EXPECT_NEAR(cxy, 0.8, 0.03);
-}
-
-TEST(FullGaussianDist, DensityIntegrationSanity) {
-    // Integrates to ~1 over a grid (2-D, coarse Riemann check).
-    const Matrix cov{{0.5, 0.2}, {0.2, 0.7}};
-    FullGaussian f({0.0, 0.0}, cov);
-    double total = 0.0;
-    const double h = 0.05;
-    for (double a = -5.0; a < 5.0; a += h)
-        for (double b = -5.0; b < 5.0; b += h) {
-            const double x[] = {a, b};
-            total += std::exp(f.log_pdf(x)) * h * h;
-        }
-    EXPECT_NEAR(total, 1.0, 1e-3);
 }
 
 TEST(Mixture, SingleComponentEqualsGaussian) {

@@ -336,20 +336,4 @@ TEST(Suc, EstimatesModeratelyRareHalfSpace) {
     EXPECT_LT(mean_err / ok, 1.5);
 }
 
-TEST(CountedProblem, GradRowsShapesAndCounts) {
-    HalfSpace prob(3, 1.0);
-    CountedProblem counted(prob);
-    rng::Engine eng(9);
-    const auto x = rng::standard_normal_matrix(eng, 5, 3);
-    linalg::Matrix grads;
-    const auto vals = counted.g_grad_rows(x, grads);
-    EXPECT_EQ(vals.size(), 5u);
-    EXPECT_EQ(grads.rows(), 5u);
-    EXPECT_EQ(grads.cols(), 3u);
-    EXPECT_EQ(counted.calls(), 5u);
-    // d(threshold - x0)/dx = (-1, 0, 0) via the FD default.
-    EXPECT_NEAR(grads(0, 0), -1.0, 1e-6);
-    EXPECT_NEAR(grads(0, 1), 0.0, 1e-6);
-}
-
 }  // namespace

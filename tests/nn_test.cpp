@@ -125,20 +125,6 @@ TEST(Loss, BceGradCheck) {
 
 // --- optimizers --------------------------------------------------------------
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-    // min (w - 3)^2 via autodiff.
-    Var w(Matrix{{0.0}}, true);
-    nn::Sgd opt({w}, 0.1);
-    for (int i = 0; i < 200; ++i) {
-        opt.zero_grad();
-        Var loss = autodiff::sum(
-            autodiff::square_v(autodiff::add_const(w, -3.0)));
-        loss.backward();
-        opt.step();
-    }
-    EXPECT_NEAR(w.value()(0, 0), 3.0, 1e-6);
-}
-
 TEST(Optimizer, AdamConvergesOnIllConditionedQuadratic) {
     // min 100 (a-1)^2 + (b+2)^2.
     Var a(Matrix{{5.0}}, true);
@@ -172,7 +158,7 @@ TEST(Optimizer, SkipsFrozenParameters) {
 
 TEST(Optimizer, ClipGradNormScalesDown) {
     Var w(Matrix{{0.0, 0.0}}, true);
-    nn::Sgd opt({w}, 1.0);
+    nn::Adam opt({w}, 1.0);
     opt.zero_grad();
     // loss = 3 w0 + 4 w1 -> grad (3, 4), norm 5.
     autodiff::dot_constant(w, Matrix{{3.0, 4.0}}).backward();

@@ -21,7 +21,7 @@ using namespace nofis;
 
 int main(int argc, char** argv) {
     if (argc < 3) {
-        std::fprintf(stderr, "usage: calibrate <case> <samples> [mc|sus|quant]\n");
+        std::fprintf(stderr, "usage: calibrate <case> <samples> [mc|sus]\n");
         return 1;
     }
     const std::string name = argv[1];
@@ -32,6 +32,11 @@ int main(int argc, char** argv) {
     }
     const std::size_t n = static_cast<std::size_t>(*parsed_n);
     const std::string mode = argc > 3 ? argv[3] : "mc";
+    if (mode != "mc" && mode != "sus") {
+        std::fprintf(stderr, "error: unknown mode '%s' (expected mc|sus)\n",
+                     mode.c_str());
+        return 2;
+    }
 
     auto tc = testcases::make_case(name);
     rng::Engine eng(123456789);
