@@ -128,7 +128,7 @@ int cmd_list() {
 int cmd_estimate(int argc, char** argv) {
     const std::string case_name = arg_value(argc, argv, "--case", "Leaf");
     const std::string method = arg_value(argc, argv, "--method", "NOFIS");
-    const auto repeats = size_flag(argc, argv, "--repeats", "3");
+    const auto repeats = size_flag(argc, argv, "--repeats", "3", 1);
     const auto seed = u64_flag(argc, argv, "--seed", "1");
     const std::string coupling = arg_value(argc, argv, "--coupling", "");
 
@@ -319,16 +319,14 @@ int cmd_reuse(int argc, char** argv) {
     const std::string case_name = arg_value(argc, argv, "--case", "Leaf");
     const std::string path =
         arg_value(argc, argv, "--load", case_name + ".nofisflow");
-    const auto nis = size_flag(argc, argv, "--nis", "5000");
+    const auto nis = size_flag(argc, argv, "--nis", "5000", 1);
     const auto seed = u64_flag(argc, argv, "--seed", "2");
 
     const auto tc = testcases::make_case(case_name);
     const auto stack = flow::load_stack(path);
-    if (stack.dim() != tc->dim()) {
-        std::fprintf(stderr, "error: flow dim %zu != case dim %zu\n",
-                     stack.dim(), tc->dim());
-        return 1;
-    }
+    if (stack.dim() != tc->dim())
+        throw std::runtime_error("flow dim " + std::to_string(stack.dim()) +
+                                 " != case dim " + std::to_string(tc->dim()));
     const auto cache = cache_from_flags(argc, argv);
     std::optional<evalcache::CachedProblem> cached;
     const estimators::RareEventProblem* problem = tc.get();
@@ -336,37 +334,29 @@ int cmd_reuse(int argc, char** argv) {
         cached.emplace(*tc, cache, testcases::cache_key(*tc));
         problem = &*cached;
     }
+    // The final-IS step of a training run on the reloaded stack: the same
+    // Guarded(Cached(problem)) composition and the same latent-or-plain
+    // decision. Latent chains take the tempered-target shape from the
+    // case's own budget (τ and the first, easiest level of its schedule);
+    // plain IS never mixes in the defensive prior here.
+    const auto budget = tc->nofis_budget();
+    core::NofisConfig cfg;
+    cfg.n_is = nis;
+    cfg.tau = budget.tau;
+    cfg.latent = latent_config_from_flags(argc, argv);
+    const estimators::GuardedProblem guarded(*problem, cfg.guard);
     rng::Engine eng(seed);
     estimators::IsDiagnostics diag;
-    // Latent-space exploration on a reloaded stack (DESIGN.md §16): the
-    // chains need the tempered-target shape, which comes from the case's
-    // own budget (τ and the first, easiest level of its schedule).
-    const auto latent_cfg = latent_config_from_flags(argc, argv);
-    estimators::EstimateResult res;
-    std::size_t final_is_draws = nis;
     latent::LatentReport lrep;
-    if (latent_cfg.enabled) {
-        // Same composition as a training run: Guarded(Cached(problem)), so
-        // chain evaluations replay/cache like every other consumer.
-        const estimators::GuardedProblem guarded(*problem);
-        const auto budget = tc->nofis_budget();
-        res = latent::explore_and_estimate(stack, guarded, eng, nis,
-                                           budget.tau, budget.levels.front(),
-                                           latent_cfg, &diag, &lrep);
-        final_is_draws = lrep.final_is_draws;
-    } else {
-        res = core::NofisEstimator::importance_estimate(stack, *problem, eng,
-                                                        nis, &diag);
-    }
+    const auto res = core::NofisEstimator::final_estimate(
+        stack, guarded, eng, cfg, budget.levels.front(), &diag, &lrep);
+    const std::size_t final_is_draws =
+        cfg.latent.enabled ? lrep.final_is_draws : nis;
     telemetry::count("calls", res.calls);
     evalcache::report_call_split(
         res.calls,
         cached ? std::min(cached->hits(), res.calls) : std::size_t{0});
-    telemetry::metric("p_hat", res.p_hat);
-    telemetry::metric("ess_hits", diag.effective_sample_size);
-    telemetry::metric("ess_all", diag.ess_all);
-    telemetry::metric("max_weight", diag.max_weight);
-    telemetry::metric("weight_cv", diag.weight_cv);
+    estimators::record_is_metrics(res.p_hat, diag);
     std::printf("reused proposal from %s on %s:\n", path.c_str(),
                 case_name.c_str());
     // Stats line is append-only (existing CI diffs parse the prefix): the
@@ -377,15 +367,16 @@ int cmd_reuse(int argc, char** argv) {
                 res.p_hat, res.calls,
                 estimators::log_error(res.p_hat, tc->golden_pr()), diag.hits,
                 diag.effective_sample_size, diag.ess_all, diag.weight_cv,
-                latent_cfg.enabled ? "latent-explore" : "final-is",
+                cfg.latent.enabled ? "latent-explore" : "final-is",
                 final_is_draws);
-    if (latent_cfg.enabled)
+    if (cfg.latent.enabled)
         std::printf("  latent: chains = %zu  steps = %zu  alpha = %.2f  "
                     "anneal = %s  explore-calls = %zu  accept = %.3f  "
                     "components = %zu\n",
-                    latent_cfg.chains, latent_cfg.steps, latent_cfg.alpha,
-                    latent::anneal_name(latent_cfg.anneal), lrep.explore_calls,
-                    lrep.acceptance_rate, lrep.components);
+                    cfg.latent.chains, cfg.latent.steps, cfg.latent.alpha,
+                    latent::anneal_name(cfg.latent.anneal),
+                    lrep.explore_calls, lrep.acceptance_rate,
+                    lrep.components);
     return 0;
 }
 
@@ -509,24 +500,9 @@ int cmd_serve(int argc, char** argv) {
     return 0;
 }
 
-std::vector<std::string> split_on(const std::string& s, char sep) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t next = s.find(sep, pos);
-        if (next == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, next - pos));
-        pos = next + 1;
-    }
-    return out;
-}
-
 /// "0.1,0.2;0.3,0.4" → 2x2 matrix (rows split on ';', cells on ',').
 linalg::Matrix parse_points(const std::string& text) {
-    const auto rows = split_on(text, ';');
+    const auto rows = split_csv(text, ';');
     if (rows.empty()) throw std::runtime_error("--x: no rows");
     std::vector<std::vector<double>> parsed;
     for (const auto& row : rows) {

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "3");
+    const auto repeats = size_flag(argc, argv, "--repeats", "3", 1);
     const auto cases = split_csv(
         arg_value(argc, argv, "--cases", "Leaf,Opamp,Oscillator"));
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "2");
+    const auto repeats = size_flag(argc, argv, "--repeats", "2", 1);
 
     testcases::LeafCase leaf;
     const auto budget = leaf.nofis_budget();

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "3");
+    const auto repeats = size_flag(argc, argv, "--repeats", "3", 1);
     const std::string case_name = arg_value(argc, argv, "--case", "Leaf");
     const auto rqs_bins = size_flag(argc, argv, "--rqs-bins", "8");
     // Rare failure regions live at 4-6σ; the spline is the identity outside

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/nofis.hpp"
-#include "estimators/latent_explore_is.hpp"
 #include "evalcache/cached_problem.hpp"
 #include "evalcache/eval_cache.hpp"
 #include "linalg/kernels/kernels.hpp"
@@ -48,9 +47,7 @@ inline bool nofis_family(const std::string& method) {
 
 /// Parses a --coupling flag value; throws (CLI exit 2) on anything else.
 inline flow::CouplingKind parse_coupling(const std::string& name) {
-    if (name == "affine") return flow::CouplingKind::kAffine;
-    if (name == "additive") return flow::CouplingKind::kAdditive;
-    if (name == "rqs") return flow::CouplingKind::kRqs;
+    if (const auto kind = flow::parse_coupling_kind(name)) return *kind;
     throw std::invalid_argument("unknown coupling '" + name +
                                 "' (expected affine|additive|rqs)");
 }
@@ -62,8 +59,8 @@ inline flow::CouplingKind parse_coupling(const std::string& name) {
 /// `coupling_override`: non-empty forces the NOFIS flow's coupling family
 /// ("affine" | "additive" | "rqs"); ignored by the baseline methods.
 /// `latent`: non-null tunes the latent-exploration knobs of "NOFIS" /
-/// "NOFIS-LE" (the latter always explores; for plain "NOFIS" the config's
-/// own `enabled` decides). Ignored by the baselines.
+/// "NOFIS-LE". "NOFIS-LE" is NOFIS with exploration forced on; for plain
+/// "NOFIS" the config's own `enabled` decides. Ignored by the baselines.
 inline std::unique_ptr<estimators::Estimator> make_estimator(
     const std::string& method, const testcases::TestCase& tc,
     std::shared_ptr<evalcache::EvalCache> cache = nullptr,
@@ -109,14 +106,12 @@ inline std::unique_ptr<estimators::Estimator> make_estimator(
         if (!coupling_override.empty())
             cfg.coupling = parse_coupling(coupling_override);
         if (latent != nullptr) cfg.latent = *latent;
+        if (method == "NOFIS-LE") cfg.latent.enabled = true;
         if (cache) {
             cfg.cache = std::move(cache);
             cfg.cache_key = testcases::cache_key(tc);
         }
-        if (method == "NOFIS-LE")
-            return std::make_unique<estimators::LatentExploreIs>(
-                std::move(cfg), core::LevelSchedule::manual(nb.levels));
-        if (method == "NOFIS")
+        if (method == "NOFIS" || method == "NOFIS-LE")
             return std::make_unique<core::NofisEstimator>(
                 std::move(cfg), core::LevelSchedule::manual(nb.levels));
     }
@@ -185,18 +180,19 @@ inline std::string format_calls(double calls) {
     return buf;
 }
 
-/// Parses "a,b,c" lists from CLI flags.
-inline std::vector<std::string> split_csv(const std::string& s) {
+/// Parses "a,b,c" lists from CLI flags (or lists on another separator).
+inline std::vector<std::string> split_csv(const std::string& s,
+                                          char sep = ',') {
     std::vector<std::string> out;
     std::size_t pos = 0;
     while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos) {
+        const std::size_t next = s.find(sep, pos);
+        if (next == std::string::npos) {
             out.push_back(s.substr(pos));
             break;
         }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
+        out.push_back(s.substr(pos, next - pos));
+        pos = next + 1;
     }
     return out;
 }
@@ -220,18 +216,23 @@ inline bool flag_present(int argc, char** argv, const char* name) {
 /// "-3" for a count) is a hard error with a diagnostic and exit code 2 —
 /// never a silent 0 that makes the run "succeed" doing nothing.
 [[noreturn]] inline void flag_error(const char* name,
-                                    const std::string& value) {
-    std::fprintf(stderr,
-                 "error: invalid value '%s' for %s (expected a number)\n",
-                 value.c_str(), name);
+                                    const std::string& value,
+                                    const std::string& expected = "a number") {
+    std::fprintf(stderr, "error: invalid value '%s' for %s (expected %s)\n",
+                 value.c_str(), name, expected.c_str());
     std::exit(2);
 }
 
+/// A count flag; values below `min` are rejected like malformed ones (a
+/// zero --repeats or --nis would otherwise "succeed" computing nothing).
 inline std::size_t size_flag(int argc, char** argv, const char* name,
-                             const std::string& fallback) {
+                             const std::string& fallback,
+                             std::size_t min = 0) {
     const std::string raw = arg_value(argc, argv, name, fallback);
     const auto parsed = util::parse_u64(raw);
     if (!parsed) flag_error(name, raw);
+    if (*parsed < min)
+        flag_error(name, raw, "a number >= " + std::to_string(min));
     return static_cast<std::size_t>(*parsed);
 }
 

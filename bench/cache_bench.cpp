@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     const auto methods =
         split_csv(arg_value(argc, argv, "--methods", "MC,SUS"));
     const auto cases = split_csv(arg_value(argc, argv, "--cases", "Leaf"));
-    const auto repeats = size_flag(argc, argv, "--repeats", "2");
+    const auto repeats = size_flag(argc, argv, "--repeats", "2", 1);
     const auto seed = u64_flag(argc, argv, "--seed", "1");
     const auto mem_mb = size_flag(argc, argv, "--cache-mem-mb", "256");
     const std::string dir = arg_value(argc, argv, "--cache-dir", "");

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "5");
+    const auto repeats = size_flag(argc, argv, "--repeats", "5", 1);
     const auto seed = u64_flag(argc, argv, "--seed", "1");
 
     testcases::LeafCase leaf;

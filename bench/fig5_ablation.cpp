@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "2");
+    const auto repeats = size_flag(argc, argv, "--repeats", "2", 1);
     const auto cases = split_csv(
         arg_value(argc, argv, "--cases", "Opamp,ChargePump,YBranch"));
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "2");
+    const auto repeats = size_flag(argc, argv, "--repeats", "2", 1);
     const auto cases = split_csv(
         arg_value(argc, argv, "--cases", "Opamp,ChargePump,YBranch"));
     const double multipliers[] = {1.0 / 15.0, 0.2, 0.5, 1.0, 2.0, 5.0, 13.0};

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     apply_kernels_flag(argc, argv);
     MetricsSession metrics(argc, argv);
 
-    const auto repeats = size_flag(argc, argv, "--repeats", "3");
+    const auto repeats = size_flag(argc, argv, "--repeats", "3", 1);
     const auto cases =
         split_csv(arg_value(argc, argv, "--cases", "YBranch,Levy,Powell"));
     const auto train_seed = u64_flag(argc, argv, "--train-seed", "9001");
@@ -76,33 +76,27 @@ int main(int argc, char** argv) {
             double err = 0.0, ess = 0.0, hits = 0.0, calls = 0.0;
             double accept = 0.0, comps = 0.0;
         } plain, lat;
+        // The final-IS step of a run on the one trained flow, with latent
+        // exploration off (plain) or on, at the same seed and g-budget.
+        auto final_is = [&](bool explore, std::uint64_t seed, Acc& acc) {
+            core::NofisConfig fcfg = cfg;
+            fcfg.latent = lcfg;
+            fcfg.latent.enabled = explore;
+            rng::Engine eng(seed);
+            estimators::IsDiagnostics d;
+            latent::LatentReport rep;
+            const auto res = core::NofisEstimator::final_estimate(
+                stack, guarded, eng, fcfg, budget.levels.front(), &d, &rep);
+            acc.err += estimators::log_error(res.p_hat, tc->golden_pr());
+            acc.ess += d.effective_sample_size;
+            acc.hits += static_cast<double>(d.hits);
+            acc.calls += static_cast<double>(res.calls);
+            acc.accept += rep.acceptance_rate;
+            acc.comps += static_cast<double>(rep.components);
+        };
         for (std::size_t r = 0; r < repeats; ++r) {
-            const std::uint64_t seed = est_seed + 101 * r;
-            {
-                rng::Engine eng(seed);
-                estimators::IsDiagnostics d;
-                const auto res = core::NofisEstimator::importance_estimate(
-                    stack, *tc, eng, cfg.n_is, &d, cfg.defensive_weight,
-                    cfg.defensive_sigma);
-                plain.err += estimators::log_error(res.p_hat, tc->golden_pr());
-                plain.ess += d.effective_sample_size;
-                plain.hits += static_cast<double>(d.hits);
-                plain.calls += static_cast<double>(res.calls);
-            }
-            {
-                rng::Engine eng(seed);
-                estimators::IsDiagnostics d;
-                latent::LatentReport rep;
-                const auto res = latent::explore_and_estimate(
-                    stack, guarded, eng, cfg.n_is, cfg.tau,
-                    budget.levels.front(), lcfg, &d, &rep);
-                lat.err += estimators::log_error(res.p_hat, tc->golden_pr());
-                lat.ess += d.effective_sample_size;
-                lat.hits += static_cast<double>(d.hits);
-                lat.calls += static_cast<double>(res.calls);
-                lat.accept += rep.acceptance_rate;
-                lat.comps += static_cast<double>(rep.components);
-            }
+            final_is(false, est_seed + 101 * r, plain);
+            final_is(true, est_seed + 101 * r, lat);
         }
         const auto dr = static_cast<double>(repeats);
         std::printf("%-10s %-10s %-9.3f %-9.1f %-7.0f %-7.0f %-8s %-7s\n",

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                             "ChargePump,YBranch,DeepNet62"));
     const auto methods = split_csv(
         arg_value(argc, argv, "--methods", "MC,SIR,SUC,SUS,SSS,Adapt-IS,NOFIS"));
-    const auto repeats = size_flag(argc, argv, "--repeats", "2");
+    const auto repeats = size_flag(argc, argv, "--repeats", "2", 1);
     const auto seed = u64_flag(argc, argv, "--seed", "20240101");
 
     std::printf("Table 1 reproduction — %zu repeat(s), seed %llu\n", repeats,

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 
 namespace nofis::checkpoint {
 
@@ -18,16 +21,6 @@ constexpr char kMagic[8] = {'N', 'O', 'F', 'I', 'S', 'C', 'K', 'P'};
 constexpr std::uint32_t kVersion = 1;
 constexpr const char* kExtension = ".nofisckpt";
 constexpr const char* kPrefix = "ckpt-";
-
-std::uint64_t fnv1a(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 // --- encoding ----------------------------------------------------------
 
@@ -87,7 +80,7 @@ void put_fault_report(std::string& out, const estimators::FaultReport& r) {
     put_u64(out, r.first_call_index);
 }
 
-void put_stage_record(std::string& out, const StageRecord& s) {
+void put_stage_record(std::string& out, const StageDiagnostics& s) {
     put_u64(out, s.stage);
     put_f64(out, s.level);
     put_f64_vec(out, s.epoch_loss);
@@ -187,8 +180,8 @@ public:
         r.first_call_index = u64();
         return r;
     }
-    StageRecord stage_record() {
-        StageRecord s;
+    StageDiagnostics stage_record() {
+        StageDiagnostics s;
         s.stage = u64();
         s.level = f64();
         s.epoch_loss = f64_vec();
@@ -257,6 +250,18 @@ void on_stop_signal(int) {
 
 }  // namespace
 
+double StageDiagnostics::first_finite_loss() const noexcept {
+    for (double v : epoch_loss)
+        if (std::isfinite(v)) return v;
+    return std::numeric_limits<double>::quiet_NaN();
+}
+
+double StageDiagnostics::last_finite_loss() const noexcept {
+    for (auto it = epoch_loss.rbegin(); it != epoch_loss.rend(); ++it)
+        if (std::isfinite(*it)) return *it;
+    return std::numeric_limits<double>::quiet_NaN();
+}
+
 std::string encode_snapshot(const TrainSnapshot& s) {
     std::string out;
     out.append(kMagic, sizeof(kMagic));
@@ -286,7 +291,7 @@ std::string encode_snapshot(const TrainSnapshot& s) {
         put_matrix_vec(out, s.stage_start_params);
         put_stage_record(out, s.partial);
     }
-    put_u64(out, fnv1a(out.data(), out.size()));
+    put_u64(out, util::fnv1a64(out.data(), out.size()));
     return out;
 }
 
@@ -302,7 +307,8 @@ std::optional<TrainSnapshot> decode_snapshot(const std::string& bytes) {
     // flipped bit anywhere fails here before any field is trusted.
     std::uint64_t stored = 0;
     std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
-    if (stored != fnv1a(bytes.data(), bytes.size() - 8)) return std::nullopt;
+    if (stored != util::fnv1a64(bytes.data(), bytes.size() - 8))
+        return std::nullopt;
 
     try {
         Reader r(bytes.data() + kHeaderBytes,
@@ -413,11 +419,7 @@ FingerprintBuilder& FingerprintBuilder::add(const std::string& s) noexcept {
 }
 
 void FingerprintBuilder::add_bytes(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        hash_ ^= p[i];
-        hash_ *= 0x100000001b3ULL;
-    }
+    hash_ = util::fnv1a64(data, n, hash_);
 }
 
 void install_stop_handlers() {

@@ -10,6 +10,7 @@
 #include "estimators/guarded_problem.hpp"
 #include "linalg/matrix.hpp"
 #include "nn/optimizer.hpp"
+#include "util/hash.hpp"
 
 namespace nofis::checkpoint {
 
@@ -49,17 +50,38 @@ struct SimulatedCrash : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/// Per-stage training record persisted in snapshots. Mirrors
-/// core::StageDiagnostics field-for-field; duplicated here (rather than
-/// included) because nofis_core links against this library, not the other
-/// way around.
-struct StageRecord {
-    std::size_t stage = 0;
-    double level = 0.0;
-    std::vector<double> epoch_loss;  ///< NaN sentinels preserved bit-exact
+/// Per-stage training record (Figure 3(e) of the paper plots exactly this:
+/// the KL loss of every stage against the epoch index). Defined here, below
+/// nofis_core, because snapshots persist it verbatim; core re-exports it as
+/// core::StageDiagnostics.
+struct StageDiagnostics {
+    std::size_t stage = 0;          ///< m (1-based)
+    double level = 0.0;             ///< a_m
+    /// True KL-loss value per epoch. Epochs whose update was skipped (flow
+    /// blow-up / non-finite loss in legacy skip mode) hold a quiet NaN
+    /// sentinel — no loss was computed, and fabricating one would fake
+    /// convergence. Consumers must skip non-finite entries; see
+    /// first_finite_loss / last_finite_loss. Snapshots keep the sentinels
+    /// bit-exact.
+    std::vector<double> epoch_loss;
+    /// Fraction of the stage's final-epoch samples inside Ω_{a_m} — a cheap
+    /// health indicator (should climb toward ~1 as the proposal locks on).
     double inside_fraction = 0.0;
+
+    /// First / last finite entry of epoch_loss (skipped-epoch NaN sentinels
+    /// excluded); NaN when the stage never computed a loss.
+    double first_finite_loss() const noexcept;
+    double last_finite_loss() const noexcept;
+
+    // --- rollback-retry telemetry -------------------------------------------
+    /// Times this stage was rolled back to its checkpoint and retrained
+    /// (each retry restores parameters, shrinks the LR, and tightens the
+    /// grad-clip / scale-cap).
     std::size_t retries = 0;
+    /// Human-readable trigger per retry ("non-finite KL loss", ...).
     std::vector<std::string> retry_reasons;
+    /// Epochs whose update was skipped because divergence persisted after
+    /// the retry budget was exhausted (legacy skip-and-continue behaviour).
     std::size_t skipped_epochs = 0;
 };
 
@@ -81,7 +103,7 @@ struct TrainSnapshot {
     std::uint64_t train_g_calls = 0;
     std::uint64_t g_grad_calls = 0;
     std::uint64_t cached_hits = 0;  ///< evalcache hits before the snapshot
-    std::vector<StageRecord> stages;  ///< completed stages
+    std::vector<StageDiagnostics> stages;  ///< completed stages
 
     // --- mid-stage (epoch) snapshot extras, valid when has_partial -------
     bool has_partial = false;
@@ -92,7 +114,7 @@ struct TrainSnapshot {
     double stage_lr = 0.0;      ///< decayed per-epoch lr, mid-attempt
     nn::OptimizerState opt_state;
     std::vector<linalg::Matrix> stage_start_params;  ///< rollback anchor
-    StageRecord partial;  ///< in-flight stage diagnostics so far
+    StageDiagnostics partial;  ///< in-flight stage diagnostics so far
 };
 
 /// Binary serialisation of one snapshot: magic "NOFISCKP" | u32 version |
@@ -150,7 +172,7 @@ public:
 
 private:
     void add_bytes(const void* data, std::size_t n) noexcept;
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+    std::uint64_t hash_ = util::kFnv1aBasis;
 };
 
 // --- graceful stop ------------------------------------------------------

@@ -2,24 +2,11 @@
 
 #include <cmath>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "util/ios_guard.hpp"
 
 namespace nofis::core {
-
-double StageDiagnostics::first_finite_loss() const noexcept {
-    for (double v : epoch_loss)
-        if (std::isfinite(v)) return v;
-    return std::numeric_limits<double>::quiet_NaN();
-}
-
-double StageDiagnostics::last_finite_loss() const noexcept {
-    for (auto it = epoch_loss.rbegin(); it != epoch_loss.rend(); ++it)
-        if (std::isfinite(*it)) return *it;
-    return std::numeric_limits<double>::quiet_NaN();
-}
 
 std::string RunHealth::summary() const {
     std::ostringstream os;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <optional>
 
@@ -20,7 +19,6 @@ namespace nofis::core {
 namespace {
 
 using autodiff::Var;
-using estimators::CountedProblem;
 using estimators::EstimateResult;
 using linalg::Matrix;
 
@@ -39,30 +37,6 @@ constexpr double kRetryScaleCapFactor = 0.7;
 /// min(τ(a - g), 0): the tempered log-weight of Eq. (6)/(9).
 double tempered_log_weight(double tau, double a, double g) {
     return std::min(tau * (a - g), 0.0);
-}
-
-checkpoint::StageRecord to_record(const StageDiagnostics& d) {
-    checkpoint::StageRecord r;
-    r.stage = d.stage;
-    r.level = d.level;
-    r.epoch_loss = d.epoch_loss;
-    r.inside_fraction = d.inside_fraction;
-    r.retries = d.retries;
-    r.retry_reasons = d.retry_reasons;
-    r.skipped_epochs = d.skipped_epochs;
-    return r;
-}
-
-StageDiagnostics to_diagnostics(const checkpoint::StageRecord& r) {
-    StageDiagnostics d;
-    d.stage = r.stage;
-    d.level = r.level;
-    d.epoch_loss = r.epoch_loss;
-    d.inside_fraction = r.inside_fraction;
-    d.retries = r.retries;
-    d.retry_reasons = r.retry_reasons;
-    d.skipped_epochs = r.skipped_epochs;
-    return d;
 }
 
 /// Identity of a run for checkpoint purposes: every config field that
@@ -100,9 +74,9 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
             .add(static_cast<std::uint64_t>(cfg.latent.steps))
             .add(cfg.latent.alpha)
             .add(static_cast<std::uint64_t>(cfg.latent.anneal))
-            .add(cfg.latent.rw_sigma)
-            .add(cfg.latent.sigma_floor)
-            .add(static_cast<std::uint64_t>(cfg.latent.em_iters));
+            .add(latent::kRwSigma)
+            .add(latent::kSigmaFloor)
+            .add(static_cast<std::uint64_t>(latent::kEmIters));
     fp.add(static_cast<std::uint64_t>(cfg.epochs))
         .add(static_cast<std::uint64_t>(cfg.samples_per_epoch))
         .add(cfg.learning_rate)
@@ -117,7 +91,7 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
         .add(static_cast<std::uint64_t>(cfg.guard.max_retries))
         .add(cfg.guard.perturb_sigma)
         .add(cfg.guard.clamp_value)
-        .add(cfg.guard.seed)
+        .add(estimators::kGuardJitterSeed)
         .add(static_cast<std::uint64_t>(cfg.stage_max_retries))
         .add(kRetryLrFactor)
         .add(kRetryGradClipFactor)
@@ -218,8 +192,7 @@ NofisEstimator::RunResult NofisEstimator::run(
                 telemetry::count("g_calls.train", train_g_calls);
             if (g_grad_calls > 0)
                 telemetry::count("g_grad_calls", g_grad_calls);
-            for (const auto& rec : resumed->stages)
-                result.stages.push_back(to_diagnostics(rec));
+            result.stages = resumed->stages;
             start_stage = resumed->next_stage;
         }
     }
@@ -241,8 +214,7 @@ NofisEstimator::RunResult NofisEstimator::run(
         s.g_grad_calls = g_grad_calls;
         s.cached_hits =
             cached ? cached_hits_baseline + cached->hits() : std::size_t{0};
-        s.stages.reserve(result.stages.size());
-        for (const auto& sd : result.stages) s.stages.push_back(to_record(sd));
+        s.stages = result.stages;
         return s;
     };
     auto persist = [&](const checkpoint::TrainSnapshot& s) {
@@ -323,7 +295,7 @@ NofisEstimator::RunResult NofisEstimator::run(
                 s.stage_lr = stage_lr;
                 s.opt_state = opt.export_state();
                 s.stage_start_params = anchor;
-                s.partial = to_record(diag);
+                s.partial = diag;
                 persist(s);
             }
             // Per-phase wall-clock spans. The spans accumulate across the
@@ -394,32 +366,20 @@ NofisEstimator::RunResult NofisEstimator::run(
             // Pass 2 — batched ∇g for the rows that need it. Backward
             // through the same simulation point is free under the paper's
             // autograd accounting (see RareEventProblem::g_grad). Each row
-            // writes only its own target_grad slice, so this fans out on
-            // the pool with one reserved call index per row.
+            // writes only its own target_grad row, so this fans out on the
+            // pool with one reserved call index per row.
             {
                 phase.emplace("g_grad");
                 g_grad_calls += grad_rows.size();
                 telemetry::count("g_grad_calls", grad_rows.size());
                 const std::size_t gbase = guarded.reserve_calls(
                     grad_rows.size());
-                std::vector<std::exception_ptr> errors(grad_rows.size());
-                parallel::parallel_for(
-                    grad_rows.size(), [&](std::size_t i0, std::size_t i1) {
-                        std::vector<double> grad_buf(d);
-                        for (std::size_t i = i0; i < i1; ++i) {
-                            const std::size_t r = grad_rows[i];
-                            try {
-                                guarded.g_grad_indexed(
-                                    gbase + i, z.row_span(r), grad_buf);
-                                for (std::size_t c = 0; c < d; ++c)
-                                    target_grad(r, c) =
-                                        -cfg_.tau * grad_buf[c];
-                            } catch (...) {
-                                errors[i] = std::current_exception();
-                            }
-                        }
-                    });
-                parallel::rethrow_first(errors);
+                parallel::for_each_index(grad_rows.size(), [&](std::size_t i) {
+                    const std::size_t r = grad_rows[i];
+                    const auto grad = target_grad.row_span(r);
+                    guarded.g_grad_indexed(gbase + i, z.row_span(r), grad);
+                    for (double& gc : grad) gc = -cfg_.tau * gc;
+                });
                 phase.reset();
             }
             for (std::size_t r = 0; r < n; ++r) {
@@ -499,7 +459,7 @@ NofisEstimator::RunResult NofisEstimator::run(
                 stage_resume.start_epoch = resumed->next_epoch;
                 stage_resume.stage_lr = resumed->stage_lr;
                 stage_resume.opt = &resumed->opt_state;
-                diag = to_diagnostics(resumed->partial);
+                diag = resumed->partial;
             } else {
                 anchor = flow::snapshot_params(*stack);
             }
@@ -543,20 +503,12 @@ NofisEstimator::RunResult NofisEstimator::run(
         // snapshot written above and spends the final IS exactly once.
         est.failed = true;
         est.detail = "interrupted by stop request; resume to continue";
-    } else if (cfg_.latent.enabled) {
-        // Latent-space exploration (DESIGN.md §16): the chain budget is
-        // carved out of n_is, so the total g-spend matches plain final IS.
-        est = latent::explore_and_estimate(*stack, guarded, eng, cfg_.n_is,
-                                           cfg_.tau, levels_.level(0),
-                                           cfg_.latent, &is_diag,
-                                           &result.latent_report);
     } else {
-        est = importance_estimate(*stack, guarded, eng, cfg_.n_is, &is_diag,
-                                  cfg_.defensive_weight,
-                                  cfg_.defensive_sigma);
+        est = final_estimate(*stack, guarded, eng, cfg_, levels_.level(0),
+                             &is_diag, &result.latent_report);
     }
     // Honest budget: training calls + fault-retry evaluations on top of the
-    // N_IS already counted by importance_estimate. (g_grad rides on the
+    // N_IS already counted by final_estimate. (g_grad rides on the
     // value evaluation under the paper's autograd accounting, so only the
     // value batches count.)
     est.calls += train_g_calls + guarded.report().retry_attempts;
@@ -605,14 +557,8 @@ NofisEstimator::RunResult NofisEstimator::run(
                                     estimators::fault_kind_name(kind),
                                 health.faults.count(kind));
         }
-        tr->set_metric("p_hat", est.p_hat);
-        tr->set_metric("ess_hits", health.final_ess);
-        tr->set_metric("ess_all", health.ess_all);
-        tr->set_metric("max_weight", health.max_weight);
-        tr->set_metric("weight_cv", health.weight_cv);
-        tr->set_metric("is_hits", static_cast<double>(is_diag.hits));
-        tr->set_metric("is_draws", static_cast<double>(is_diag.draws));
     }
+    estimators::record_is_metrics(est.p_hat, is_diag);
 
     result.estimate = est;
     result.is_diag = is_diag;
@@ -621,16 +567,29 @@ NofisEstimator::RunResult NofisEstimator::run(
     return result;
 }
 
+EstimateResult NofisEstimator::final_estimate(
+    const flow::CouplingStack& trained_flow,
+    const estimators::RareEventProblem& problem, rng::Engine& eng,
+    const NofisConfig& cfg, double a_start, estimators::IsDiagnostics* diag,
+    latent::LatentReport* report) {
+    // Latent-space exploration (DESIGN.md §16): the chain budget is carved
+    // out of n_is, so the total g-spend matches plain final IS.
+    if (cfg.latent.enabled)
+        return latent::explore_and_estimate(trained_flow, problem, eng,
+                                            cfg.n_is, cfg.tau, a_start,
+                                            cfg.latent, diag, report);
+    return importance_estimate(trained_flow, problem, eng, cfg.n_is, diag,
+                               cfg.defensive_weight, cfg.defensive_sigma);
+}
+
 EstimateResult NofisEstimator::importance_estimate(
     const flow::CouplingStack& trained_flow,
     const estimators::RareEventProblem& problem, rng::Engine& eng,
     std::size_t n_is, estimators::IsDiagnostics* diag,
     double defensive_weight, double defensive_sigma) {
     // The final Eq. (2) estimate — one span whether reached from run() (it
-    // nests under the run's trace) or standalone via the CLI reuse path.
+    // nests under the run's trace) or standalone (reuse, serve, benches).
     const telemetry::ScopedSpan is_span("final_is");
-    telemetry::count("g_calls.final_is", n_is);
-    CountedProblem counted(problem);
     const std::size_t d_dim = trained_flow.dim();
     const std::size_t blocks = trained_flow.num_blocks();
 
@@ -664,38 +623,17 @@ EstimateResult NofisEstimator::importance_estimate(
         std::size_t iw = 0;
         std::size_t jf = 0;
         for (std::size_t r = 0; r < n_is; ++r) {
-            double lq_flow;
-            double lq_wide;
-            if (from_wide[r]) {
-                const auto row = zw.row_span(iw);
-                std::copy(row.begin(), row.end(), z.row_span(r).begin());
-                lq_flow = flow_at_wide[iw];
-                lq_wide = wide.log_pdf(row);
-                ++iw;
-            } else {
-                const auto row = zf.z.row_span(jf);
-                std::copy(row.begin(), row.end(), z.row_span(r).begin());
-                lq_flow = zf.log_q[jf];
-                lq_wide = wide.log_pdf(row);
-                ++jf;
-            }
-            log_q[r] =
-                estimators::log_add_exp(lw_flow + lq_flow, lw_wide + lq_wide);
+            const auto row =
+                from_wide[r] ? zw.row_span(iw) : zf.z.row_span(jf);
+            std::copy(row.begin(), row.end(), z.row_span(r).begin());
+            const double lq_flow =
+                from_wide[r] ? flow_at_wide[iw++] : zf.log_q[jf++];
+            log_q[r] = estimators::log_add_exp(lw_flow + lq_flow,
+                                               lw_wide + wide.log_pdf(row));
         }
     }
 
-    // Batched g over all proposal draws (parallel, row-order call indices);
-    // the reduction stays serial in row order, so the estimate is bitwise
-    // identical at any thread count.
-    const std::vector<double> g_vals = counted.g_rows(z);
-    const estimators::IsEstimate is =
-        estimators::importance_reduce(z, log_q, g_vals);
-    EstimateResult res;
-    res.p_hat = is.p_hat;
-    res.calls = counted.calls();
-    res.failed = !std::isfinite(res.p_hat);
-    if (diag != nullptr) *diag = is.diag;
-    return res;
+    return estimators::evaluate_and_reduce(problem, z, log_q, diag);
 }
 
 }  // namespace nofis::core

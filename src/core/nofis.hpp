@@ -160,6 +160,20 @@ public:
         std::size_t n_is, estimators::IsDiagnostics* diag = nullptr,
         double defensive_weight = 0.0, double defensive_sigma = 1.5);
 
+    /// The final P_r estimate from a trained flow: the one place that
+    /// chooses between latent exploration (cfg.latent.enabled; the chains
+    /// target the tempered levels from cfg.tau and `a_start`) and plain
+    /// importance_estimate with cfg.n_is draws and cfg's defensive mixture.
+    /// Both spend exactly cfg.n_is g-calls. run() and the CLI's `reuse`
+    /// call it; `report` receives the exploration ledger (untouched on the
+    /// plain path).
+    static estimators::EstimateResult final_estimate(
+        const flow::CouplingStack& trained_flow,
+        const estimators::RareEventProblem& problem, rng::Engine& eng,
+        const NofisConfig& cfg, double a_start,
+        estimators::IsDiagnostics* diag = nullptr,
+        latent::LatentReport* report = nullptr);
+
     const NofisConfig& config() const noexcept { return cfg_; }
     const LevelSchedule& levels() const noexcept { return levels_; }
 

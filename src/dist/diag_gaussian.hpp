@@ -1,8 +1,10 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "dist/distribution.hpp"
+#include "linalg/matrix.hpp"
+#include "rng/engine.hpp"
 
 namespace nofis::dist {
 
@@ -10,16 +12,17 @@ namespace nofis::dist {
 ///
 /// Used as the per-component building block of the Adapt-IS mixture and as
 /// the scaled-sigma proposal in SSS (mu = 0, sigma = s·1).
-class DiagGaussian final : public Distribution {
+class DiagGaussian {
 public:
     DiagGaussian(std::vector<double> mean, std::vector<double> sigma);
 
     /// Isotropic convenience: N(0, s² I) in `dim` dimensions.
     static DiagGaussian isotropic(std::size_t dim, double s);
 
-    std::size_t dim() const noexcept override { return mean_.size(); }
-    linalg::Matrix sample(rng::Engine& eng, std::size_t n) const override;
-    double log_pdf(std::span<const double> x) const override;
+    std::size_t dim() const noexcept { return mean_.size(); }
+    /// Draws `n` i.i.d. samples, one per row -> (n x D).
+    linalg::Matrix sample(rng::Engine& eng, std::size_t n) const;
+    double log_pdf(std::span<const double> x) const;
 
     std::span<const double> mean() const noexcept { return mean_; }
     std::span<const double> sigma() const noexcept { return sigma_; }

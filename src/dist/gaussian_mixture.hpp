@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "dist/diag_gaussian.hpp"
-#include "dist/distribution.hpp"
 
 namespace nofis::dist {
 
@@ -13,7 +12,7 @@ namespace nofis::dist {
 /// sampling [Kanj et al. 2006; Shi et al. 2018]; the cross-entropy update
 /// (`ce_update`) re-fits weights, means, and sigmas to weighted elite
 /// samples — one iteration of the Adapt-IS baseline.
-class GaussianMixture final : public Distribution {
+class GaussianMixture {
 public:
     struct Component {
         double weight;
@@ -26,12 +25,13 @@ public:
     /// `k` components at the origin with unit sigma, equal weights.
     static GaussianMixture standard(std::size_t dim, std::size_t k);
 
-    std::size_t dim() const noexcept override { return dim_; }
+    std::size_t dim() const noexcept { return dim_; }
     std::size_t num_components() const noexcept { return comps_.size(); }
     const Component& component(std::size_t i) const { return comps_.at(i); }
 
-    linalg::Matrix sample(rng::Engine& eng, std::size_t n) const override;
-    double log_pdf(std::span<const double> x) const override;
+    /// Draws `n` i.i.d. samples, one per row -> (n x D).
+    linalg::Matrix sample(rng::Engine& eng, std::size_t n) const;
+    double log_pdf(std::span<const double> x) const;
 
     /// Cross-entropy re-fit: given samples (rows of x) with non-negative
     /// importance weights w, performs one weighted EM-style update of all

@@ -3,24 +3,33 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "linalg/solver_error.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/normal.hpp"
+#include "util/hash.hpp"
 
 namespace nofis::estimators {
 
 namespace {
 
-FaultKind classify(const SolverError& e) noexcept {
-    switch (e.kind()) {
-        case SolverError::Kind::kSingularMatrix:
-            return FaultKind::kSingularMatrix;
-        case SolverError::Kind::kNonConvergence:
-            return FaultKind::kNonConvergence;
-        case SolverError::Kind::kBadInput:
-            return FaultKind::kBadInput;
+/// Fault kind of a thrown evaluation: structured solver errors keep their
+/// kind, rejected input (invalid_argument / domain_error) is bad input.
+FaultKind classify(const std::exception& e) noexcept {
+    if (const auto* solver = dynamic_cast<const SolverError*>(&e)) {
+        switch (solver->kind()) {
+            case SolverError::Kind::kSingularMatrix:
+                return FaultKind::kSingularMatrix;
+            case SolverError::Kind::kNonConvergence:
+                return FaultKind::kNonConvergence;
+            case SolverError::Kind::kBadInput:
+                return FaultKind::kBadInput;
+        }
     }
+    if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr ||
+        dynamic_cast<const std::domain_error*>(&e) != nullptr)
+        return FaultKind::kBadInput;
     return FaultKind::kOtherException;
 }
 
@@ -28,16 +37,6 @@ bool all_finite(std::span<const double> v) noexcept {
     for (double x : v)
         if (!std::isfinite(x)) return false;
     return true;
-}
-
-/// splitmix64-style finaliser used to derive the per-call jitter seed from
-/// (stream seed, call index). A pure function of its inputs, so retry
-/// perturbations do not depend on how calls interleave across threads.
-std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
-    std::uint64_t z = a + 0x9e3779b97f4a7c15ULL * (b + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 /// Synthetic inner-problem index for retry attempt `k` of top-level call
@@ -123,26 +122,8 @@ bool GuardedProblem::attempt(std::size_t inner_index,
         value = grad_out.empty()
                     ? inner_->g_indexed(inner_index, x)
                     : inner_->g_grad_indexed(inner_index, x, grad_out);
-    } catch (const SolverError& e) {
-        kind = classify(e);
-        message = e.what();
-        eptr = std::current_exception();
-        record(record_index, kind, message, x);
-        return false;
-    } catch (const std::invalid_argument& e) {
-        kind = FaultKind::kBadInput;
-        message = e.what();
-        eptr = std::current_exception();
-        record(record_index, kind, message, x);
-        return false;
-    } catch (const std::domain_error& e) {
-        kind = FaultKind::kBadInput;
-        message = e.what();
-        eptr = std::current_exception();
-        record(record_index, kind, message, x);
-        return false;
     } catch (const std::exception& e) {
-        kind = FaultKind::kOtherException;
+        kind = classify(e);
         message = e.what();
         eptr = std::current_exception();
         record(record_index, kind, message, x);
@@ -180,10 +161,11 @@ double GuardedProblem::resolve(std::size_t index, std::span<const double> x,
     }
 
     if (cfg_.policy == Policy::kRetryPerturb) {
-        // The jitter for call `index` is its own engine seeded from
-        // (seed, index): no shared stream, so the probes a faulty call sees
-        // do not depend on which other calls faulted before it.
-        rng::Engine jitter(mix64(cfg_.seed, index));
+        // The jitter for call `index` is its own engine seeded from a pure
+        // hash of the index: no shared stream, so the probes a faulty call
+        // sees do not depend on which other calls faulted before it.
+        rng::Engine jitter(
+            util::splitmix64(kGuardJitterSeed + util::kGoldenGamma * index));
         std::vector<double> probe(x.begin(), x.end());
         for (std::size_t attempt_i = 0; attempt_i < cfg_.max_retries;
              ++attempt_i) {
@@ -254,17 +236,9 @@ std::vector<double> GuardedProblem::g_rows(const linalg::Matrix& x) const {
         throw std::invalid_argument("g_rows: dimension mismatch");
     const std::size_t base = reserve_calls(x.rows());
     std::vector<double> out(x.rows());
-    std::vector<std::exception_ptr> errors(x.rows());
-    parallel::parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            try {
-                out[r] = g_indexed(base + r, x.row_span(r));
-            } catch (...) {
-                errors[r] = std::current_exception();
-            }
-        }
+    parallel::for_each_index(x.rows(), [&](std::size_t r) {
+        out[r] = g_indexed(base + r, x.row_span(r));
     });
-    parallel::rethrow_first(errors);
     return out;
 }
 

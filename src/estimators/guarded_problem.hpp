@@ -74,8 +74,12 @@ struct GuardConfig {
     /// faulty sample is classified "no failure" and carries zero IS weight —
     /// the conservative direction for a rare-event probability.
     double clamp_value = 1e9;
-    std::uint64_t seed = 0x9e3779b97f4a7c15ULL;  ///< jitter stream seed
 };
+
+/// Seed of the retry jitter: call i perturbs with an engine seeded from
+/// util::splitmix64(kGuardJitterSeed + i·γ), so the probes depend on the
+/// call index alone.
+inline constexpr std::uint64_t kGuardJitterSeed = 0x9e3779b97f4a7c15ULL;
 
 /// Fault-tolerant decorator around any RareEventProblem: catches solver
 /// exceptions (classified via nofis::SolverError) and non-finite g / g_grad
@@ -84,8 +88,8 @@ struct GuardConfig {
 ///
 /// Thread-safety and determinism: every evaluation carries a call index
 /// (self-assigned in arrival order on the serial g/g_grad path, reserved in
-/// row order by batched callers). Retry jitter is a pure function of
-/// (seed, call index) — not a shared stream — and the fault ledger is
+/// row order by batched callers). Retry jitter is a pure function of the
+/// call index — not a shared stream — and the fault ledger is
 /// mutex-protected with the "first fault" selected by lowest call index,
 /// so a batch of guarded evaluations produces bitwise-identical values and
 /// an identical FaultReport under any thread count.

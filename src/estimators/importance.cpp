@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "rng/normal.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace nofis::estimators {
 
@@ -48,6 +49,37 @@ IsEstimate importance_reduce(const linalg::Matrix& x,
         d.weight_cv = std::sqrt(var_w) / mean_w;
     }
     return est;
+}
+
+EstimateResult evaluate_and_reduce(const RareEventProblem& problem,
+                                   const linalg::Matrix& x,
+                                   std::span<const double> log_q,
+                                   IsDiagnostics* diag) {
+    if (x.rows() == 0)
+        throw std::invalid_argument(
+            "final importance sampling needs at least one draw");
+    telemetry::count("g_calls.final_is", x.rows());
+    // Batched g over every draw (parallel, row-order call indices); the
+    // serial row-order reduction keeps the estimate bitwise identical at
+    // any thread count.
+    const std::vector<double> g_vals = problem.g_rows(x);
+    const IsEstimate is = importance_reduce(x, log_q, g_vals);
+    EstimateResult res;
+    res.p_hat = is.p_hat;
+    res.calls = x.rows();
+    res.failed = !std::isfinite(res.p_hat);
+    if (diag != nullptr) *diag = is.diag;
+    return res;
+}
+
+void record_is_metrics(double p_hat, const IsDiagnostics& diag) {
+    telemetry::metric("p_hat", p_hat);
+    telemetry::metric("ess_hits", diag.effective_sample_size);
+    telemetry::metric("ess_all", diag.ess_all);
+    telemetry::metric("max_weight", diag.max_weight);
+    telemetry::metric("weight_cv", diag.weight_cv);
+    telemetry::metric("is_hits", static_cast<double>(diag.hits));
+    telemetry::metric("is_draws", static_cast<double>(diag.draws));
 }
 
 }  // namespace nofis::estimators

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <span>
 
+#include "estimators/problem.hpp"
 #include "linalg/matrix.hpp"
 
 namespace nofis::estimators {
@@ -43,6 +44,22 @@ struct IsEstimate {
 IsEstimate importance_reduce(const linalg::Matrix& x,
                              std::span<const double> log_q,
                              std::span<const double> g);
+
+/// The tail of every final importance-sampling estimate, whatever the
+/// proposal: one batched g_rows over the draws (row-order call indices,
+/// counted on "g_calls.final_is"), importance_reduce, and the result with
+/// `calls` = draws and `failed` = !isfinite(p̂). Callers open the
+/// "final_is" span around their sampling and this call. Throws
+/// std::invalid_argument when there are no draws.
+EstimateResult evaluate_and_reduce(const RareEventProblem& problem,
+                                   const linalg::Matrix& x,
+                                   std::span<const double> log_q,
+                                   IsDiagnostics* diag = nullptr);
+
+/// Writes p̂ and the final-IS diagnostics into the active telemetry record
+/// (p_hat, ess_hits, ess_all, max_weight, weight_cv, is_hits, is_draws);
+/// no-op when telemetry is off.
+void record_is_metrics(double p_hat, const IsDiagnostics& diag);
 
 /// log(eᵃ + eᵇ) without overflow: the log-density of a two-component
 /// mixture from its two weighted component log-densities.

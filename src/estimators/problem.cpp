@@ -1,7 +1,6 @@
 #include "estimators/problem.hpp"
 
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 
 #include "parallel/thread_pool.hpp"
@@ -30,17 +29,8 @@ std::vector<double> RareEventProblem::g_rows(const linalg::Matrix& x) const {
     if (x.cols() != dim())
         throw std::invalid_argument("g_rows: dimension mismatch");
     std::vector<double> out(x.rows());
-    std::vector<std::exception_ptr> errors(x.rows());
-    parallel::parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            try {
-                out[r] = g(x.row_span(r));
-            } catch (...) {
-                errors[r] = std::current_exception();
-            }
-        }
-    });
-    parallel::rethrow_first(errors);
+    parallel::for_each_index(
+        x.rows(), [&](std::size_t r) { out[r] = g(x.row_span(r)); });
     return out;
 }
 

@@ -135,16 +135,6 @@ std::uint64_t scan_records(
 
 }  // namespace
 
-std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 DiskLog::DiskLog(std::string path, std::string case_key, std::size_t dim)
     : path_(std::move(path)), case_key_(std::move(case_key)), dim_(dim) {
     if (dim_ == 0) throw std::runtime_error("DiskLog: dim must be positive");

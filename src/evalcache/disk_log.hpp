@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace nofis::evalcache {
 
 /// On-disk format of one g-evaluation log (tier 2 of the cache):
@@ -42,7 +44,7 @@ namespace nofis::evalcache {
 /// for `nofis_cli cache-info` to describe a file standalone.
 
 /// FNV-1a over `n` bytes; the per-record checksum.
-std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept;
+using util::fnv1a64;
 
 /// Parsed header plus scan results of one log file.
 struct LogInfo {

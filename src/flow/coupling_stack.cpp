@@ -6,11 +6,26 @@
 
 namespace nofis::flow {
 
+std::string coupling_kind_name(CouplingKind kind) {
+    if (kind == CouplingKind::kAdditive) return "additive";
+    if (kind == CouplingKind::kRqs) return "rqs";
+    return "affine";
+}
+
+std::optional<CouplingKind> parse_coupling_kind(std::string_view name) {
+    for (const CouplingKind kind : {CouplingKind::kAffine,
+                                    CouplingKind::kAdditive,
+                                    CouplingKind::kRqs})
+        if (name == coupling_kind_name(kind)) return kind;
+    return std::nullopt;
+}
+
 CouplingStack::CouplingStack(const StackConfig& cfg, rng::Engine& eng)
     : cfg_(cfg),
       layers_per_physical_block_(cfg.layers_per_block *
-                                 (cfg.use_actnorm ? 2 : 1)),
-      base_(cfg.dim) {
+                                 (cfg.use_actnorm ? 2 : 1)) {
+    if (cfg.dim == 0)
+        throw std::invalid_argument("CouplingStack: dim must be > 0");
     if (cfg.num_blocks == 0 || cfg.layers_per_block == 0)
         throw std::invalid_argument("CouplingStack: M and K must be positive");
     const std::size_t couplings = cfg.num_blocks * cfg.layers_per_block;
@@ -67,7 +82,7 @@ CouplingStack::Samples CouplingStack::transport(const linalg::Matrix& z0,
     Samples out;
     out.log_q.assign(z0.rows(), 0.0);
     // log q(z_mK) = log q0(z0) - Σ log|det J| (Eq. 5).
-    std::vector<double> base_lp = base_.log_pdf_rows(z0);
+    std::vector<double> base_lp = base_log_pdf(z0);
     std::vector<double> log_det(z0.rows(), 0.0);
     linalg::Matrix z = transport_range(z0, 0, upto_block, log_det);
     for (std::size_t r = 0; r < z0.rows(); ++r)
@@ -97,8 +112,18 @@ std::vector<double> CouplingStack::log_prob(const linalg::Matrix& x,
     const std::size_t n_layers = block_begin_layer(upto_block);
     for (std::size_t i = 0; i < n_layers; ++i)
         z = layers_[i]->forward_values(z, log_det);
-    std::vector<double> out = base_.log_pdf_rows(z0);
+    std::vector<double> out = base_log_pdf(z0);
     for (std::size_t r = 0; r < x.rows(); ++r) out[r] -= log_det[r];
+    return out;
+}
+
+std::vector<double> CouplingStack::base_log_pdf(
+    const linalg::Matrix& z0) const {
+    if (z0.cols() != cfg_.dim)
+        throw std::invalid_argument("CouplingStack: dimension mismatch");
+    std::vector<double> out(z0.rows());
+    for (std::size_t r = 0; r < z0.rows(); ++r)
+        out[r] = rng::standard_normal_log_pdf(z0.row_span(r));
     return out;
 }
 

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "dist/standard_normal.hpp"
 #include "flow/actnorm.hpp"
 #include "flow/additive_coupling.hpp"
 #include "flow/coupling.hpp"
@@ -17,6 +19,13 @@ enum class CouplingKind {
     kAdditive,  ///< NICE — volume-preserving ablation
     kRqs,       ///< monotone rational-quadratic splines (DESIGN.md §14)
 };
+
+/// "affine" / "additive" / "rqs": the tokens of the .nofisflow header, the
+/// --coupling flag and `info` output.
+std::string coupling_kind_name(CouplingKind kind);
+/// Inverse of coupling_kind_name; std::nullopt for any other token (callers
+/// word their own error).
+std::optional<CouplingKind> parse_coupling_kind(std::string_view name);
 
 /// Configuration for a block-structured coupling stack.
 struct StackConfig {
@@ -122,7 +131,6 @@ public:
     /// throws std::runtime_error on a layer-count mismatch.
     void set_scale_caps(const std::vector<double>& caps);
 
-    const dist::StandardNormal& base() const noexcept { return base_; }
     const StackConfig& config() const noexcept { return cfg_; }
 
 private:
@@ -131,10 +139,11 @@ private:
     std::size_t block_begin_layer(std::size_t block) const {
         return block * layers_per_physical_block_;
     }
+    /// log q_0 = log N(0, I) of every row of base-space points `z0`.
+    std::vector<double> base_log_pdf(const linalg::Matrix& z0) const;
 
     StackConfig cfg_;
     std::size_t layers_per_physical_block_;
-    dist::StandardNormal base_;
     std::vector<std::unique_ptr<FlowLayer>> layers_;
 };
 

@@ -41,19 +41,8 @@ void save_stack(const CouplingStack& stack, std::ostream& os) {
     const StackConfig& cfg = stack.config();
     os << kMagic << '\n';
     os << cfg.dim << ' ' << cfg.num_blocks << ' ' << cfg.layers_per_block
-       << ' ' << cfg.scale_cap << ' ';
-    switch (cfg.coupling) {
-        case CouplingKind::kAffine:
-            os << "affine";
-            break;
-        case CouplingKind::kAdditive:
-            os << "additive";
-            break;
-        case CouplingKind::kRqs:
-            os << "rqs";
-            break;
-    }
-    os << ' ' << (cfg.use_actnorm ? 1 : 0);
+       << ' ' << cfg.scale_cap << ' ' << coupling_kind_name(cfg.coupling)
+       << ' ' << (cfg.use_actnorm ? 1 : 0);
     // The spline header fields ride only on the "rqs" tag, so affine and
     // additive files stay byte-identical to the pre-rqs format (and old
     // readers reject rqs files at the kind token with a clear message).
@@ -103,11 +92,9 @@ CouplingStack load_stack(std::istream& is) {
     is >> cfg.dim >> cfg.num_blocks >> cfg.layers_per_block >>
         cfg.scale_cap >> kind >> actnorm;
     if (!is) fail("truncated header");
-    if (kind != "affine" && kind != "additive" && kind != "rqs")
-        fail("unknown coupling kind '" + kind + "'");
-    cfg.coupling = kind == "affine"     ? CouplingKind::kAffine
-                   : kind == "additive" ? CouplingKind::kAdditive
-                                        : CouplingKind::kRqs;
+    const auto coupling = parse_coupling_kind(kind);
+    if (!coupling) fail("unknown coupling kind '" + kind + "'");
+    cfg.coupling = *coupling;
     cfg.use_actnorm = actnorm != 0;
     if (cfg.coupling == CouplingKind::kRqs) {
         is >> cfg.rqs_bins >> cfg.rqs_tail;

@@ -4,18 +4,6 @@
 
 namespace nofis::flow {
 
-std::string coupling_kind_name(CouplingKind kind) {
-    switch (kind) {
-        case CouplingKind::kAffine:
-            return "affine";
-        case CouplingKind::kAdditive:
-            return "additive";
-        case CouplingKind::kRqs:
-            return "rqs";
-    }
-    return "affine";
-}
-
 StackInfo stack_info(const CouplingStack& stack) {
     const StackConfig& cfg = stack.config();
     StackInfo info;

@@ -24,10 +24,6 @@ struct StackInfo {
     std::size_t param_values = 0;   ///< total scalar parameters
 };
 
-/// "affine" / "additive" / "rqs" — the same tokens the .nofisflow header
-/// uses.
-std::string coupling_kind_name(CouplingKind kind);
-
 /// Introspects an in-memory stack.
 StackInfo stack_info(const CouplingStack& stack);
 

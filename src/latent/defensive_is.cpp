@@ -23,8 +23,6 @@ estimators::EstimateResult defensive_estimate(
             "latent::defensive_estimate: refined mixture dim mismatch");
     const std::size_t blocks = trained_flow.num_blocks();
     const telemetry::ScopedSpan is_span("final_is");
-    telemetry::count("g_calls.final_is", n_draws);
-    estimators::CountedProblem counted(problem);
 
     // Component choice per draw, then batched sampling of each component.
     const double lw_flow = std::log(alpha);
@@ -61,18 +59,7 @@ estimators::EstimateResult defensive_estimate(
     const linalg::Matrix x =
         trained_flow.transport_range(z0, 0, blocks, log_det);
     for (std::size_t r = 0; r < n_draws; ++r) log_q[r] -= log_det[r];
-
-    // Batched g (parallel, row-order call indices); serial row-order
-    // reduction keeps the estimate bitwise identical at any thread count.
-    const std::vector<double> g_vals = counted.g_rows(x);
-    const estimators::IsEstimate is =
-        estimators::importance_reduce(x, log_q, g_vals);
-    estimators::EstimateResult res;
-    res.p_hat = is.p_hat;
-    res.calls = counted.calls();
-    res.failed = !std::isfinite(res.p_hat);
-    if (diag != nullptr) *diag = is.diag;
-    return res;
+    return estimators::evaluate_and_reduce(problem, x, log_q, diag);
 }
 
 }  // namespace nofis::latent

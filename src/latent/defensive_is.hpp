@@ -16,7 +16,7 @@ namespace nofis::latent {
 /// the full mixture — the estimator is unbiased for any α in (0, 1] and
 /// degenerates to the plain Eq. (2) final IS in the α → 1 limit.
 ///
-/// Mirrors NofisEstimator::importance_estimate's determinism contract: one
+/// Ends in estimators::evaluate_and_reduce, the tail of every final IS: one
 /// batched g_rows over all draws (row-order call indices), serial row-order
 /// reduction, bitwise identical at any thread count. Counts `n_draws` calls
 /// and opens the usual "final_is" span / g_calls.final_is counter so the

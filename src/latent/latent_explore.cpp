@@ -42,15 +42,15 @@ estimators::EstimateResult explore_and_estimate(
         ChainConfig ccfg;
         ccfg.chains = cfg.chains;
         ccfg.steps = cfg.steps;
-        ccfg.rw_sigma = cfg.rw_sigma;
+        ccfg.rw_sigma = kRwSigma;
         ccfg.anneal = cfg.anneal;
         ccfg.tau = tau;
         ccfg.a_start = a_start;
         const ExploreResult ex = explore(trained_flow, problem, ccfg,
                                          master_seed);
         RefineConfig rcfg;
-        rcfg.sigma_floor = cfg.sigma_floor;
-        rcfg.em_iters = cfg.em_iters;
+        rcfg.sigma_floor = kSigmaFloor;
+        rcfg.em_iters = kEmIters;
         refined.emplace(fit_refinement(ex, trained_flow.dim(), rcfg));
         rep.explore_calls = ex.g_calls;
         rep.harvest_rows = ex.harvest.rows();

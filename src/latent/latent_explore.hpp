@@ -20,10 +20,14 @@ struct LatentConfig {
     /// q_z = α·N(0,I) + (1−α)·refined. α → 1 recovers plain final IS.
     double alpha = 0.8;
     AnnealKind anneal = AnnealKind::kLinear;
-    double rw_sigma = 0.0;     ///< proposal stddev; <= 0 = 2.38/sqrt(d)
-    double sigma_floor = 0.05; ///< refinement component sigma floor
-    std::size_t em_iters = 2;  ///< EM polish passes over the harvest
 };
+
+/// Fixed exploration knobs (no flag sets them): the chains' random-walk
+/// stddev (<= 0 selects 2.38/sqrt(d)), the refinement components' sigma
+/// floor, and the EM polish passes over the harvest.
+inline constexpr double kRwSigma = 0.0;
+inline constexpr double kSigmaFloor = 0.05;
+inline constexpr std::size_t kEmIters = 2;
 
 /// What the exploration phase did — surfaced through RunResult / the CLI.
 struct LatentReport {

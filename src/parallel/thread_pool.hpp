@@ -84,11 +84,28 @@ void set_num_threads(std::size_t lanes);
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
-/// Rethrows the first (lowest-index) non-null exception, if any. Batch
-/// evaluators record per-index failures during a parallel_for and call
-/// this afterwards so the surfaced exception does not depend on thread
-/// count or scheduling.
+/// Rethrows the first (lowest-index) non-null exception, if any.
 void rethrow_first(std::span<const std::exception_ptr> errors);
+
+/// The batch-evaluation loop: runs fn(i) for every i in [0, n) on
+/// parallel_for's chunks. Every index runs even after another one threw;
+/// once all have finished, the exception of the lowest failing index is
+/// rethrown, so the surfaced error does not depend on thread count or
+/// scheduling. fn must write only to per-index locations.
+template <class Fn>
+void for_each_index(std::size_t n, Fn&& fn) {
+    std::vector<std::exception_ptr> errors(n);
+    parallel_for(n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    });
+    rethrow_first(errors);
+}
 
 /// Utilisation of the process-global pool (created on first use).
 PoolStats pool_stats();

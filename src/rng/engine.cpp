@@ -1,16 +1,10 @@
 #include "rng/engine.hpp"
 
+#include "util/hash.hpp"
+
 namespace nofis::rng {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
@@ -19,8 +13,9 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 }  // namespace
 
 Engine::Engine(std::uint64_t seed) {
-    std::uint64_t sm = seed;
-    for (auto& w : s_) w = splitmix64(sm);
+    // Word i is the (i+1)-th splitmix64 output of a stream started at seed.
+    for (std::size_t i = 0; i < s_.size(); ++i)
+        s_[i] = util::splitmix64(seed + i * util::kGoldenGamma);
     // Guard against the (astronomically unlikely) all-zero state.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
@@ -62,9 +57,7 @@ Engine substream(std::uint64_t seed, std::uint64_t stream_id) noexcept {
     // substream(1, i) would equal substream(2, i^1)). After full mixing,
     // a cross-seed collision needs mix(s1) ^ mix(s2) inside the id range —
     // vanishingly unlikely — and a second round decorrelates nearby ids.
-    std::uint64_t sm = seed;
-    std::uint64_t mixed = splitmix64(sm) ^ stream_id;
-    return Engine(splitmix64(mixed));
+    return Engine(util::splitmix64(util::splitmix64(seed) ^ stream_id));
 }
 
 }  // namespace nofis::rng

@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
+#include "util/hash.hpp"
 
 namespace nofis::serve {
 
@@ -41,12 +42,8 @@ void send_all(int fd, const std::string& data) {
 std::size_t route_worker(std::string_view model,
                          std::size_t workers) noexcept {
     if (workers <= 1) return 0;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : model) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h % workers);
+    return static_cast<std::size_t>(
+        util::fnv1a64(model.data(), model.size()) % workers);
 }
 
 /// One accepted connection: a reader thread that decodes lines and submits

@@ -1,33 +1,14 @@
 #include "testcases/fault_injector.hpp"
 
 #include <chrono>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 
 #include "linalg/solver_error.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/hash.hpp"
 
 namespace nofis::testcases {
-
-namespace {
-
-/// splitmix64 finaliser — the same mixer rng::Engine seeds from, reused here
-/// to turn (seed, call index) into an i.i.d.-quality uniform without any
-/// mutable generator state.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-double hash_uniform(std::uint64_t seed, std::uint64_t index) noexcept {
-    const std::uint64_t bits = mix64(mix64(seed) ^ index);
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(const estimators::RareEventProblem& inner,
                              FaultInjectorConfig cfg)
@@ -48,7 +29,7 @@ FaultInjector::FaultInjector(const estimators::RareEventProblem& inner,
 FaultInjector::Inject FaultInjector::decide(std::size_t index) const noexcept {
     if (index >= cfg_.nan_burst_begin && index < cfg_.nan_burst_end)
         return Inject::kNan;
-    const double u = hash_uniform(cfg_.seed, index);
+    const double u = util::hash_uniform(cfg_.seed, index);
     double edge = cfg_.nan_rate;
     if (u < edge) return Inject::kNan;
     edge += cfg_.throw_rate;
@@ -155,17 +136,9 @@ std::vector<double> FaultInjector::g_rows(const linalg::Matrix& x) const {
     const std::size_t base = calls_.fetch_add(x.rows(),
                                               std::memory_order_relaxed);
     std::vector<double> out(x.rows());
-    std::vector<std::exception_ptr> errors(x.rows());
-    parallel::parallel_for(x.rows(), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            try {
-                out[r] = value_at(base + r, x.row_span(r));
-            } catch (...) {
-                errors[r] = std::current_exception();
-            }
-        }
+    parallel::for_each_index(x.rows(), [&](std::size_t r) {
+        out[r] = value_at(base + r, x.row_span(r));
     });
-    parallel::rethrow_first(errors);
     return out;
 }
 

@@ -1,23 +1,10 @@
 #include "util/io_fault.hpp"
 
+#include "util/hash.hpp"
+
 namespace nofis::util {
 
 namespace {
-
-/// splitmix64 finaliser — the same mixer testcases::FaultInjector uses, so
-/// (seed, op index) yields an i.i.d.-quality uniform without mutable state.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-double hash_uniform(std::uint64_t seed, std::uint64_t index,
-                    std::uint64_t stream) noexcept {
-    const std::uint64_t bits = mix64(mix64(seed ^ stream) ^ index);
-    return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
 
 // Distinct stream tags so write-op and read-op decisions never alias.
 constexpr std::uint64_t kWriteStream = 0x77ULL;

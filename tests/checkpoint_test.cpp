@@ -23,6 +23,7 @@
 #include "rng/engine.hpp"
 #include "testcases/fault_injector.hpp"
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 #include "util/io_fault.hpp"
 
 namespace {
@@ -210,6 +211,33 @@ TEST_F(CheckpointTest, AtomicFileReplacesWholeFileOrNothing) {
     EXPECT_EQ(contents2, "new contents");
 }
 
+TEST(IoFaultInjector, DecisionSequenceIsPinned) {
+    // Write and read decisions are pure hashes of (seed, op index, stream
+    // tag): these sequences are the bits every injected-I/O test replays.
+    util::IoFaultConfig io;
+    io.enospc_rate = 0.1;
+    io.torn_write_rate = 0.1;
+    io.corrupt_rate = 0.1;
+    io.short_read_rate = 0.2;
+    const util::IoFaultInjector inj(io);
+    auto code = [](util::IoFault f) {
+        switch (f) {
+            case util::IoFault::kNone: return '.';
+            case util::IoFault::kEnospc: return 'e';
+            case util::IoFault::kTornWrite: return 't';
+            case util::IoFault::kCorruptBit: return 'c';
+            case util::IoFault::kShortRead: return 's';
+        }
+        return '?';
+    };
+    std::string writes;
+    std::string reads;
+    for (int i = 0; i < 40; ++i) writes += code(inj.next_write_fault());
+    for (int i = 0; i < 40; ++i) reads += code(inj.next_read_fault());
+    EXPECT_EQ(writes, ".ee....c.e....e...cc...c..c......c.e....");
+    EXPECT_EQ(reads, "..ss......s.s...c.s....s......s.s....s.s");
+}
+
 // ---------------------------------------------------------------------------
 // State capture primitives
 // ---------------------------------------------------------------------------
@@ -323,7 +351,7 @@ checkpoint::TrainSnapshot sample_snapshot() {
     s.train_g_calls = 720;
     s.g_grad_calls = 360;
     s.cached_hits = 9;
-    checkpoint::StageRecord rec;
+    checkpoint::StageDiagnostics rec;
     rec.stage = 1;
     rec.level = 1.2;
     rec.epoch_loss = {2.5, std::numeric_limits<double>::quiet_NaN(), 1.75};
@@ -414,6 +442,15 @@ TEST(CheckpointCodec, DecodeRejectsAnyDamage) {
     // Trailing garbage is damage, not slack.
     EXPECT_FALSE(checkpoint::decode_snapshot(blob + "x").has_value());
     EXPECT_TRUE(checkpoint::decode_snapshot(blob).has_value());
+}
+
+TEST(CheckpointCodec, EncodedBytesArePinned) {
+    // A round trip cannot see a layout or checksum change made on both the
+    // write and the read side; snapshots from earlier builds can. The
+    // sample carries two stage records (one completed, one in flight).
+    const std::string blob = checkpoint::encode_snapshot(sample_snapshot());
+    EXPECT_EQ(blob.size(), 854u);
+    EXPECT_EQ(util::fnv1a64(blob.data(), blob.size()), 0x05b30d194296c93bULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -588,26 +625,41 @@ TEST_F(CheckpointResumeTest, CorruptLatestSnapshotResumesFromPrevious) {
     expect_same_run(reference, resumed);
 }
 
-TEST_F(CheckpointResumeTest, DefaultConfigFingerprintIsPinned) {
-    // Snapshots written by earlier builds must keep resuming: the run
-    // identity of a default-config run may not move when config fields are
-    // renamed, reordered or replaced by constants.
+/// Run identity stored in the stage-1 snapshot of a run of `cfg` (0 when
+/// no decodable stage-1 snapshot was written).
+std::uint64_t stage1_fingerprint(NofisConfig cfg, const std::string& dir) {
     HalfSpace2D problem(2.5);
-    NofisConfig cfg;
-    cfg.checkpoint.dir = dir_;
+    cfg.checkpoint.dir = dir;
     cfg.checkpoint.crash_after_snapshots = 1;  // stop after stage 1
     rng::Engine eng(7);
     EXPECT_THROW(NofisEstimator(cfg, tiny_levels()).run(problem, eng),
                  checkpoint::SimulatedCrash);
-    const auto files = snapshot_files(dir_);
-    ASSERT_EQ(files.size(), 1u);
+    const auto files = snapshot_files(dir);
+    EXPECT_EQ(files.size(), 1u);
+    if (files.size() != 1) return 0;
     std::ifstream in(files.front(), std::ios::binary);
     const std::string blob((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
     const auto snap = checkpoint::decode_snapshot(blob);
-    ASSERT_TRUE(snap.has_value());
+    EXPECT_TRUE(snap.has_value());
+    if (!snap) return 0;
     EXPECT_EQ(snap->next_stage, 2u);
-    EXPECT_EQ(snap->fingerprint, 0x913df4259d4ebc2dULL);
+    return snap->fingerprint;
+}
+
+TEST_F(CheckpointResumeTest, DefaultConfigFingerprintIsPinned) {
+    // Snapshots written by earlier builds must keep resuming: the run
+    // identity of a default-config run may not move when config fields are
+    // renamed, reordered or replaced by constants.
+    EXPECT_EQ(stage1_fingerprint(NofisConfig{}, dir_), 0x913df4259d4ebc2dULL);
+}
+
+TEST_F(CheckpointResumeTest, LatentConfigFingerprintIsPinned) {
+    // The latent knobs fold into the run identity only when exploration is
+    // on, so the default-config pin above never sees them.
+    NofisConfig cfg;
+    cfg.latent.enabled = true;
+    EXPECT_EQ(stage1_fingerprint(cfg, dir_), 0x60ff51637c7d40b8ULL);
 }
 
 TEST_F(CheckpointResumeTest, ChangedConfigRefusesToResume) {

@@ -5,32 +5,14 @@
 
 #include "dist/diag_gaussian.hpp"
 #include "dist/gaussian_mixture.hpp"
-#include "dist/standard_normal.hpp"
 #include "rng/normal.hpp"
 
 namespace {
 
 using nofis::dist::DiagGaussian;
 using nofis::dist::GaussianMixture;
-using nofis::dist::StandardNormal;
 using nofis::linalg::Matrix;
 using nofis::rng::Engine;
-
-TEST(StandardNormalDist, LogPdfMatchesRngHelper) {
-    StandardNormal d(3);
-    const double x[] = {0.5, -1.0, 2.0};
-    EXPECT_NEAR(d.log_pdf(x), nofis::rng::standard_normal_log_pdf(x), 1e-14);
-    EXPECT_THROW(d.log_pdf(std::vector<double>(2)), std::invalid_argument);
-    EXPECT_THROW(StandardNormal(0), std::invalid_argument);
-}
-
-TEST(StandardNormalDist, SampleStatistics) {
-    StandardNormal d(4);
-    Engine eng(1);
-    const Matrix x = d.sample(eng, 20000);
-    const Matrix mean = x.col_means();
-    for (std::size_t c = 0; c < 4; ++c) EXPECT_NEAR(mean(0, c), 0.0, 0.05);
-}
 
 TEST(DiagGaussianDist, LogPdfClosedForm) {
     DiagGaussian d({1.0, -2.0}, {0.5, 2.0});
@@ -66,10 +48,11 @@ TEST(DiagGaussianDist, RejectsBadParameters) {
 
 TEST(DiagGaussianDist, IsotropicMatchesScaledStandard) {
     const auto d = DiagGaussian::isotropic(3, 2.0);
-    StandardNormal s(3);
     const double x[] = {1.0, 2.0, -1.0};
     const double xs[] = {0.5, 1.0, -0.5};
-    EXPECT_NEAR(d.log_pdf(x), s.log_pdf(xs) - 3.0 * std::log(2.0), 1e-12);
+    EXPECT_NEAR(d.log_pdf(x),
+                nofis::rng::standard_normal_log_pdf(xs) - 3.0 * std::log(2.0),
+                1e-12);
 }
 
 TEST(Mixture, SingleComponentEqualsGaussian) {
@@ -221,15 +204,5 @@ TEST_P(MixtureSingleComponent, LogPdfMatchesDiagGaussianEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, MixtureSingleComponent,
                          ::testing::Values(std::size_t{2}, std::size_t{26}));
-
-TEST(Mixture, LogPdfRowsMatchesScalar) {
-    GaussianMixture m({{0.5, {0.0, 0.0}, {1.0, 1.0}},
-                       {0.5, {2.0, 2.0}, {0.5, 0.5}}});
-    Engine eng(7);
-    const Matrix x = m.sample(eng, 10);
-    const auto rows = m.log_pdf_rows(x);
-    for (std::size_t r = 0; r < 10; ++r)
-        EXPECT_NEAR(rows[r], m.log_pdf(x.row_span(r)), 1e-14);
-}
 
 }  // namespace

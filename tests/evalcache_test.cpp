@@ -22,6 +22,7 @@
 #include "telemetry/telemetry.hpp"
 #include "testcases/case_factory.hpp"
 #include "testcases/fault_injector.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -212,6 +213,33 @@ TEST_F(TempDirFixture, DiskLogTruncatedTailRecovery) {
         EXPECT_EQ(log.records(), 3u);
         EXPECT_FALSE(log.tail_was_truncated());
     }
+}
+
+TEST(EvalCacheHash, Fnv1aOfFixedBytesIsPinned) {
+    // The checksum of every log record and the evalcache key hash.
+    const std::string s = "NOFIS: normalizing flow";
+    EXPECT_EQ(evalcache::fnv1a64(s.data(), s.size()), 0xb81720a65e4cfeceULL);
+    // Hashing in two pieces continues the same stream.
+    const std::uint64_t head = evalcache::fnv1a64(s.data(), 6);
+    EXPECT_EQ(util::fnv1a64(s.data() + 6, s.size() - 6, head),
+              0xb81720a65e4cfeceULL);
+}
+
+TEST_F(TempDirFixture, DiskLogBytesArePinned) {
+    // Pins header layout, record layout and per-record checksum at once: a
+    // round trip cannot catch a checksum that moves on both write and read.
+    const std::string path = dir_ + "/log.evc";
+    {
+        DiskLog log(path, "pin#d2", 2);
+        log.append(std::vector<double>{0.5, -1.25}, 1.5);
+        log.append(std::vector<double>{2.0, 0.125}, -0.75);
+        log.append(std::vector<double>{-3.5, 4.0}, 1e-3);
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string blob((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(blob.size(), 146u);
+    EXPECT_EQ(util::fnv1a64(blob.data(), blob.size()), 0x4eb40b6196403e0cULL);
 }
 
 TEST_F(TempDirFixture, DiskLogHeaderMismatchThrows) {

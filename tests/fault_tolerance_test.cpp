@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,7 @@
 #include "rng/normal.hpp"
 #include "testcases/circuit_cases.hpp"
 #include "testcases/fault_injector.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -261,37 +263,71 @@ TEST(GuardedProblem, NonFiniteValuesAreFaultsNotExceptions) {
 // FaultInjector determinism and exact ledgers
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjector, DecisionsAreDeterministicAcrossInstances) {
-    HalfSpace2D prob(1.0);
+FaultInjectorConfig mixed_fault_config() {
     FaultInjectorConfig cfg;
     cfg.nan_rate = 0.05;
     cfg.throw_rate = 0.05;
     cfg.inf_rate = 0.03;
     cfg.seed = 123;
+    return cfg;
+}
 
-    auto trace = [&](const FaultInjector& inj) {
-        std::string t;
-        rng::Engine eng(5);
-        for (int i = 0; i < 400; ++i) {
-            const auto x = random_point(eng, 2);
-            try {
-                const double v = inj.g(x);
-                t += std::isnan(v) ? 'n' : (std::isinf(v) ? 'i' : '.');
-            } catch (const SingularMatrixError&) {
-                t += 's';
-            } catch (const NonConvergenceError&) {
-                t += 'c';
-            }
+/// One character per call of 400 serial g calls: what the injector did.
+std::string decision_trace(const FaultInjector& inj) {
+    std::string t;
+    rng::Engine eng(5);
+    for (int i = 0; i < 400; ++i) {
+        const auto x = random_point(eng, 2);
+        try {
+            const double v = inj.g(x);
+            t += std::isnan(v) ? 'n' : (std::isinf(v) ? 'i' : '.');
+        } catch (const SingularMatrixError&) {
+            t += 's';
+        } catch (const NonConvergenceError&) {
+            t += 'c';
         }
-        return t;
-    };
+    }
+    return t;
+}
+
+TEST(FaultInjector, DecisionsAreDeterministicAcrossInstances) {
+    HalfSpace2D prob(1.0);
+    const FaultInjectorConfig cfg = mixed_fault_config();
     const FaultInjector a(prob, cfg);
     const FaultInjector b(prob, cfg);
-    EXPECT_EQ(trace(a), trace(b));
+    EXPECT_EQ(decision_trace(a), decision_trace(b));
     EXPECT_GT(a.injected_total(), 0u);
     EXPECT_EQ(a.injected_total(), b.injected_total());
     EXPECT_EQ(a.injected_singular(), b.injected_singular());
     EXPECT_EQ(a.injected_nonconvergence(), b.injected_nonconvergence());
+}
+
+TEST(FaultInjector, DecisionTraceIsPinned) {
+    // The (seed, call index) -> fault hash, pinned so every seeded fault
+    // run (CLI --inject-*, the recovery tests) replays the same faults.
+    HalfSpace2D prob(1.0);
+    const FaultInjector inj(prob, mixed_fault_config());
+    const std::string t = decision_trace(inj);
+    EXPECT_EQ(util::fnv1a64(t.data(), t.size()), 0x525bd455712f97b8ULL);
+}
+
+TEST(GuardedProblem, RetryJitterBitsArePinned) {
+    // Call #5 is a seeded NaN; its perturbed retry probe is drawn from an
+    // engine keyed on the call index alone, so the recovered value is a
+    // fixed number.
+    HalfSpace2D prob(1.0);
+    FaultInjectorConfig icfg;
+    icfg.nan_burst_begin = 5;
+    icfg.nan_burst_end = 6;
+    const FaultInjector inj(prob, icfg);
+    GuardConfig cfg;
+    cfg.policy = GuardConfig::Policy::kRetryPerturb;
+    const GuardedProblem guard(inj, cfg);
+    const double v = guard.g_indexed(5, std::vector<double>{0.25, -0.5});
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    EXPECT_EQ(bits, 0x3fe800022a7ad729ULL);  // 0.75000103279919472
+    EXPECT_EQ(guard.report().recovered, 1u);
 }
 
 TEST(FaultInjector, NanBurstHitsExactCallWindow) {

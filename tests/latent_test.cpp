@@ -23,6 +23,7 @@
 #include "rng/normal.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testcases/fault_injector.hpp"
+#include "../bench/bench_common.hpp"
 
 namespace {
 
@@ -314,6 +315,25 @@ TEST(LatentRun, BitwiseIdenticalAcrossCacheOffColdWarm) {
     // Only the fresh/cached split may move.
     EXPECT_EQ(cold.cached_calls, 0u);
     EXPECT_GT(warm.cached_calls, 0u);
+}
+
+TEST(LatentRun, NofisLeIsNofisWithExplorationOn) {
+    // "NOFIS-LE" is no separate estimator: the registry method is a
+    // NofisEstimator whose config has latent exploration switched on.
+    const auto tc = testcases::make_case("Rosen");
+    const auto budget = tc->nofis_budget();
+    const auto le = bench::make_estimator("NOFIS-LE", *tc);
+    NofisConfig cfg = bench::nofis_config_from_budget(budget);
+    cfg.latent.enabled = true;
+    const NofisEstimator direct(cfg, LevelSchedule::manual(budget.levels));
+    rng::Engine e1(3);
+    rng::Engine e2(3);
+    const auto a = le->estimate(*tc, e1);
+    const auto b = direct.estimate(*tc, e2);
+    EXPECT_TRUE(same_bits(a.p_hat, b.p_hat)) << a.p_hat << " vs " << b.p_hat;
+    EXPECT_EQ(a.calls, b.calls);
+    EXPECT_EQ(a.failed, b.failed);
+    EXPECT_EQ(e1(), e2());  // same stream position afterwards
 }
 
 TEST(LatentRun, ThrowsWhenExplorationEatsTheWholeBudget) {

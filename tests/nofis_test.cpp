@@ -294,6 +294,29 @@ TEST(Nofis, NanSimulatorValueIsNotCountedAsFailure) {
     }
 }
 
+TEST(Nofis, FinalIsRejectsZeroDraws) {
+    // Zero draws would report p = 0/0 as a clean estimate; the shared
+    // final-IS tail refuses instead, whichever proposal fed it.
+    HalfSpace2D prob(2.0);
+    EXPECT_THROW(estimators::evaluate_and_reduce(prob, linalg::Matrix(0, 2),
+                                                 std::vector<double>{}),
+                 std::invalid_argument);
+    flow::StackConfig scfg;
+    scfg.dim = 2;
+    scfg.num_blocks = 1;
+    scfg.layers_per_block = 2;
+    scfg.hidden = {8};
+    rng::Engine init(3);
+    const flow::CouplingStack flow(scfg, init);
+    for (const double defensive_weight : {0.0, 0.3}) {
+        rng::Engine eng(5);
+        EXPECT_THROW(NofisEstimator::importance_estimate(
+                         flow, prob, eng, 0, nullptr, defensive_weight),
+                     std::invalid_argument)
+            << defensive_weight;
+    }
+}
+
 TEST(Nofis, DefensiveMixtureStaysCalibrated) {
     // The defensive proposal must leave the estimator consistent (it only
     // reshapes the sampling distribution, densities stay exact).

@@ -14,6 +14,7 @@
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -177,6 +178,41 @@ TEST(RethrowFirst, PicksLowestIndexAndIgnoresEmpty) {
     } catch (const std::runtime_error& e) {
         EXPECT_STREQ(e.what(), "early");
     }
+}
+
+TEST(ParallelFor, ForEachIndexRunsEveryIndexAndRethrowsLowestFailure) {
+    PoolGuard guard;
+    constexpr std::size_t kN = 97;
+    for (const std::size_t lanes : {1, 4}) {
+        parallel::set_num_threads(lanes);
+        std::vector<int> ran(kN, 0);
+        std::vector<double> out(kN, 0.0);
+        try {
+            parallel::for_each_index(kN, [&](std::size_t i) {
+                ++ran[i];
+                if (i % 10 == 7)
+                    throw std::runtime_error("index " + std::to_string(i));
+                out[i] = std::sqrt(static_cast<double>(i)) * 0.1;
+            });
+            FAIL() << "expected an exception at " << lanes << " lanes";
+        } catch (const std::runtime_error& e) {
+            // Index 7 fails first in index order, whichever lane ran it.
+            EXPECT_STREQ(e.what(), "index 7") << lanes << " lanes";
+        }
+        for (std::size_t i = 0; i < kN; ++i) {
+            EXPECT_EQ(ran[i], 1) << "index " << i << " at " << lanes;
+            const double expect =
+                i % 10 == 7 ? 0.0 : std::sqrt(static_cast<double>(i)) * 0.1;
+            EXPECT_EQ(out[i], expect) << "index " << i << " at " << lanes;
+        }
+    }
+    // No failures: nothing is thrown, empty ranges are fine.
+    parallel::set_num_threads(4);
+    EXPECT_NO_THROW(parallel::for_each_index(0, [](std::size_t) {}));
+    std::vector<std::size_t> seen(50, 0);
+    EXPECT_NO_THROW(
+        parallel::for_each_index(50, [&](std::size_t i) { seen[i] = i; }));
+    for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(seen[i], i);
 }
 
 TEST(ParallelMatmul, BitwiseIdenticalAcrossThreadCounts) {

@@ -109,6 +109,17 @@ TEST(Engine, SubstreamCollisionAndIndependenceSmoke) {
     EXPECT_LE(same, 1);
 }
 
+TEST(Engine, SeedExpansionIsPinned) {
+    // splitmix64 seeding and substream derivation: every seeded run in the
+    // repo starts from these bits.
+    Engine e(13);
+    EXPECT_EQ(e(), 0x035e0619b1b542d7ULL);
+    EXPECT_EQ(e(), 0x18a2186e157ab8f5ULL);
+    EXPECT_EQ(e(), 0x929ec7d09572781cULL);
+    EXPECT_EQ(e(), 0xf2d1177a6481806aULL);
+    EXPECT_EQ(nofis::rng::substream(13, 2)(), 0x44ff4f5a9070f410ULL);
+}
+
 TEST(Engine, SubstreamDiffersFromDirectSeeding) {
     // substream(s, 0) must not alias Engine(s) itself — the master seed is
     // re-mixed first, so the caller's own stream stays untouched.
