@@ -237,8 +237,8 @@ void BM_YBranchEval(benchmark::State& state) {
 }
 BENCHMARK(BM_YBranchEval);
 
-// One central-difference gradient, 2·26 + 1 transmissions: where a YBranch
-// NOFIS run spends most of its time.
+// One Y-branch gradient as NOFIS training takes it: the adjoint, one
+// recorded transmission plus one reverse pass.
 void BM_YBranchGrad(benchmark::State& state) {
     const auto tc = testcases::make_case("YBranch");
     const auto pool = ybranch_inputs();
@@ -252,6 +252,23 @@ void BM_YBranchGrad(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_YBranchGrad);
+
+// The central-difference oracle the adjoint is tested against: 2·26 + 1
+// transmissions through the base-class g_grad.
+void BM_YBranchGradFd(benchmark::State& state) {
+    const auto tc = testcases::make_case("YBranch");
+    const auto pool = ybranch_inputs();
+    std::vector<double> grad(tc->dim());
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            tc->estimators::RareEventProblem::g_grad(pool[i], grad));
+        benchmark::DoNotOptimize(grad.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % pool.size();
+    }
+}
+BENCHMARK(BM_YBranchGradFd);
 
 }  // namespace
 

@@ -589,7 +589,9 @@ EstimateResult NofisEstimator::importance_estimate(
     double defensive_weight, double defensive_sigma) {
     // The final Eq. (2) estimate — one span whether reached from run() (it
     // nests under the run's trace) or standalone (reuse, serve, benches).
+    // Its children are "sample" here, then "g_eval" and "reduce".
     const telemetry::ScopedSpan is_span("final_is");
+    std::optional<telemetry::ScopedSpan> phase(std::in_place, "sample");
     const std::size_t d_dim = trained_flow.dim();
     const std::size_t blocks = trained_flow.num_blocks();
 
@@ -632,6 +634,7 @@ EstimateResult NofisEstimator::importance_estimate(
                                                lw_wide + wide.log_pdf(row));
         }
     }
+    phase.reset();
 
     return estimators::evaluate_and_reduce(problem, z, log_q, diag);
 }

@@ -1,6 +1,7 @@
 #include "estimators/importance.hpp"
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "rng/normal.hpp"
@@ -62,8 +63,11 @@ EstimateResult evaluate_and_reduce(const RareEventProblem& problem,
     // Batched g over every draw (parallel, row-order call indices); the
     // serial row-order reduction keeps the estimate bitwise identical at
     // any thread count.
+    std::optional<telemetry::ScopedSpan> phase(std::in_place, "g_eval");
     const std::vector<double> g_vals = problem.g_rows(x);
+    phase.emplace("reduce");
     const IsEstimate is = importance_reduce(x, log_q, g_vals);
+    phase.reset();
     EstimateResult res;
     res.p_hat = is.p_hat;
     res.calls = x.rows();

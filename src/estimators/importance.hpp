@@ -49,7 +49,8 @@ IsEstimate importance_reduce(const linalg::Matrix& x,
 /// proposal: one batched g_rows over the draws (row-order call indices,
 /// counted on "g_calls.final_is"), importance_reduce, and the result with
 /// `calls` = draws and `failed` = !isfinite(p̂). Callers open the
-/// "final_is" span around their sampling and this call. Throws
+/// "final_is" span around their sampling (its "sample" child) and this
+/// call, which adds the "g_eval" and "reduce" children. Throws
 /// std::invalid_argument when there are no draws.
 EstimateResult evaluate_and_reduce(const RareEventProblem& problem,
                                    const linalg::Matrix& x,

@@ -27,8 +27,12 @@ public:
     virtual double g(std::span<const double> x) const = 0;
 
     /// ∂g/∂x. The default uses central finite differences on the underlying
-    /// model; overriders provide analytic or adjoint gradients. Returns
-    /// g(x).
+    /// model, 2·dim() + 1 calls of g. Overriders provide analytic or adjoint
+    /// gradients: the synthetic cases in closed form, DeepNet62 through the
+    /// autodiff tape, YBranch by a reverse pass through its segment
+    /// recurrence. For those the default stays as the test oracle. Returns
+    /// g(x) bit for bit: CachedProblem stores the returned value, and later
+    /// value lookups return it.
     ///
     /// Call accounting: one (value, gradient) evaluation is counted as ONE
     /// call, mirroring the paper's PyTorch setup where backward through the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "rng/normal.hpp"
@@ -23,6 +24,7 @@ estimators::EstimateResult defensive_estimate(
             "latent::defensive_estimate: refined mixture dim mismatch");
     const std::size_t blocks = trained_flow.num_blocks();
     const telemetry::ScopedSpan is_span("final_is");
+    std::optional<telemetry::ScopedSpan> phase(std::in_place, "sample");
 
     // Component choice per draw, then batched sampling of each component.
     const double lw_flow = std::log(alpha);
@@ -59,6 +61,7 @@ estimators::EstimateResult defensive_estimate(
     const linalg::Matrix x =
         trained_flow.transport_range(z0, 0, blocks, log_det);
     for (std::size_t r = 0; r < n_draws; ++r) log_q[r] -= log_det[r];
+    phase.reset();
     return estimators::evaluate_and_reduce(problem, x, log_q, diag);
 }
 

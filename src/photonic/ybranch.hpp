@@ -25,6 +25,13 @@ namespace nofis::photonic {
 /// The x-independent sine basis sin(kπz_s/L) at the segment centres and
 /// the amplitudes c_k are tabulated once at construction; a call only sums
 /// the deformation and propagates.
+///
+/// `transmission_grad` is the model's adjoint: it runs the same segment
+/// loop as `transmission` while recording each segment's state on a tape
+/// local to the call, then runs one reverse pass back through the two-mode
+/// recurrence. A gradient costs about 1.5 transmissions instead of the
+/// 2·26 + 1 of central differences, and its value is `transmission(x)` bit
+/// for bit (DESIGN.md §2.1).
 class YBranchModel {
 public:
     struct Params {
@@ -51,12 +58,26 @@ public:
     /// Power transmission T(x) in [0, 1]; x.size() == num_modes.
     double transmission(std::span<const double> x) const;
 
+    /// T(x), with ∂T/∂x written to `grad` (size num_modes). The returned
+    /// value is bitwise equal to transmission(x). Safe for concurrent calls.
+    double transmission_grad(std::span<const double> x,
+                             std::span<double> grad) const;
+
     /// Deformed width profile at segment centres (for tests / plots).
     std::vector<double> width_profile(std::span<const double> x) const;
 
     std::size_t num_modes() const noexcept { return p_.num_modes; }
 
 private:
+    /// What the reverse pass reads back from one forward segment.
+    struct SegmentState;
+
+    /// The one segment loop behind both entry points: returns T(x) and
+    /// hands each segment's state to `record(s, state)`. `transmission`
+    /// passes a no-op, so it records and allocates nothing.
+    template <class Record>
+    double propagate(std::span<const double> x, Record&& record) const;
+
     /// Width deviation δw at segment `s`: Σ_k (c_k·x_k)·sin(kπz_s/L),
     /// summed in ascending k. Expression and order are part of the
     /// determinism contract (DESIGN.md §2.1).

@@ -88,6 +88,11 @@ double YBranchCase::g(std::span<const double> x) const {
     return model_.transmission(x) - kTransmissionLimit;
 }
 
+double YBranchCase::g_grad(std::span<const double> x,
+                           std::span<double> grad_out) const {
+    return model_.transmission_grad(x, grad_out) - kTransmissionLimit;
+}
+
 NofisBudget YBranchCase::nofis_budget() const {
     NofisBudget b;
     // Paper: 32.5K total calls. Levels in transmission margin above 32%.

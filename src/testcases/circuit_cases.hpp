@@ -51,6 +51,8 @@ private:
 
 /// (#9) Y-branch, D = 26 — failure when the power transmission of the
 /// deformed photonic splitter arm drops below 32%: g = T(x) − 0.32.
+/// g_grad is the model's adjoint (YBranchModel::transmission_grad); the
+/// base-class central differences stay as its test oracle.
 class YBranchCase final : public TestCase {
 public:
     YBranchCase() = default;
@@ -59,6 +61,8 @@ public:
     std::size_t dim() const noexcept override { return 26; }
     double golden_pr() const noexcept override;
     double g(std::span<const double> x) const override;
+    double g_grad(std::span<const double> x,
+                  std::span<double> grad_out) const override;
     NofisBudget nofis_budget() const override;
     BaselineBudget baseline_budget() const override;
 

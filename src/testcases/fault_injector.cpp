@@ -52,6 +52,15 @@ void FaultInjector::throw_fault(std::size_t index) const {
     throw NonConvergenceError("FaultInjector: injected non-convergence");
 }
 
+void FaultInjector::delay() const {
+    latency_.fetch_add(1, std::memory_order_relaxed);
+    const auto until =
+        std::chrono::steady_clock::now() +
+        std::chrono::microseconds(static_cast<long long>(cfg_.latency_us));
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
+
 double FaultInjector::value_at(std::size_t index,
                                std::span<const double> x) const {
     switch (decide(index)) {
@@ -63,16 +72,9 @@ double FaultInjector::value_at(std::size_t index,
         case Inject::kInf:
             inf_.fetch_add(1, std::memory_order_relaxed);
             return std::numeric_limits<double>::infinity();
-        case Inject::kLatency: {
-            latency_.fetch_add(1, std::memory_order_relaxed);
-            const auto until =
-                std::chrono::steady_clock::now() +
-                std::chrono::microseconds(
-                    static_cast<long long>(cfg_.latency_us));
-            while (std::chrono::steady_clock::now() < until) {
-            }
+        case Inject::kLatency:
+            delay();
             break;
-        }
         case Inject::kNone:
             break;
     }
@@ -96,7 +98,7 @@ double FaultInjector::grad_at(std::size_t index, std::span<const double> x,
             inner_->g_grad(x, grad_out);
             return std::numeric_limits<double>::infinity();
         case Inject::kLatency:
-            latency_.fetch_add(1, std::memory_order_relaxed);
+            delay();
             break;
         case Inject::kNone:
             break;

@@ -109,6 +109,9 @@ private:
     enum class Inject { kNone, kNan, kThrow, kInf, kLatency };
     Inject decide(std::size_t index) const noexcept;
     [[noreturn]] void throw_fault(std::size_t index) const;
+    /// Injected latency, for value and gradient calls alike: counts it,
+    /// then busy-waits `latency_us`.
+    void delay() const;
     /// Injection + evaluation for one decided index; does NOT touch calls_.
     double value_at(std::size_t index, std::span<const double> x) const;
     double grad_at(std::size_t index, std::span<const double> x,

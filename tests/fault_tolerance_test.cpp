@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -359,6 +360,26 @@ TEST(FaultInjector, LatencyInjectionIsNotAFault) {
     for (int i = 0; i < 5; ++i) EXPECT_EQ(inj.g(x), 0.5);
     EXPECT_EQ(inj.injected_latency(), 5u);
     EXPECT_EQ(inj.injected_total(), 0u);
+
+    // Gradient calls are delayed as well, and pass the inner value and
+    // gradient through unchanged. Only a lower bound on the wait is
+    // checked, so a slow host cannot make this flake.
+    cfg.latency_us = 2000.0;
+    const FaultInjector slow(prob, cfg);
+    std::vector<double> want(2);
+    const double want_v = prob.g_grad(x, want);
+    std::vector<double> grad(2);
+    for (int i = 0; i < 4; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const double v = i % 2 == 0 ? slow.g_grad(x, grad)
+                                    : slow.g_grad_indexed(100 + i, x, grad);
+        const auto waited = std::chrono::steady_clock::now() - t0;
+        EXPECT_GE(waited, std::chrono::microseconds(2000)) << "call " << i;
+        EXPECT_EQ(v, want_v);
+        EXPECT_EQ(grad, want);
+    }
+    EXPECT_EQ(slow.injected_latency(), 4u);
+    EXPECT_EQ(slow.injected_total(), 0u);
 }
 
 TEST(FaultInjector, GuardReportMatchesInjectorLedgerExactly) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "evalcache/disk_log.hpp"
@@ -125,6 +127,12 @@ TEST(YBranch, RejectsBadArguments) {
     YBranchModel model;
     EXPECT_THROW(model.transmission(std::vector<double>(3)),
                  std::invalid_argument);
+    std::vector<double> grad(3);
+    EXPECT_THROW(model.transmission_grad(std::vector<double>(26), grad),
+                 std::invalid_argument);
+    grad.resize(26);
+    EXPECT_THROW(model.transmission_grad(std::vector<double>(3), grad),
+                 std::invalid_argument);
     YBranchModel::Params p;
     p.segments = 1;
     EXPECT_THROW(YBranchModel{p}, std::invalid_argument);
@@ -152,8 +160,39 @@ TEST(YBranch, WidthProfileBitsMatchGolden) {
 }
 
 TEST(YBranch, FiniteDifferenceGradientBitsMatchGolden) {
-    // YBranchCase has no analytic gradient: g_grad is the central-difference
-    // fallback, 2·26 + 1 transmissions per call.
+    // The central-difference oracle the adjoint is checked against: the
+    // base-class g_grad, called explicitly, at 2·26 + 1 transmissions.
+    nofis::testcases::YBranchCase yb;
+    std::vector<double> out;
+    std::vector<double> grad(yb.dim());
+    for (const auto& x : golden_inputs(8)) {
+        out.push_back(yb.RareEventProblem::g_grad(x, grad));
+        out.insert(out.end(), grad.begin(), grad.end());
+    }
+    EXPECT_EQ(bits_hash(out), 0xe2890d446703f400ULL);
+}
+
+TEST(YBranch, AdjointGradientMatchesFiniteDifference) {
+    nofis::testcases::YBranchCase yb;
+    std::vector<double> adj(yb.dim());
+    std::vector<double> fd(yb.dim());
+    for (const auto& x : golden_inputs(32)) {
+        const double v = yb.g_grad(x, adj);
+        const double g = yb.g(x);
+        EXPECT_EQ(std::memcmp(&v, &g, sizeof(double)), 0)
+            << "adjoint value must be g(x) bit for bit";
+        yb.RareEventProblem::g_grad(x, fd);
+        double gap = 0.0;
+        double scale = 0.0;
+        for (std::size_t k = 0; k < yb.dim(); ++k) {
+            gap = std::max(gap, std::abs(adj[k] - fd[k]));
+            scale = std::max(scale, std::abs(fd[k]));
+        }
+        EXPECT_LE(gap, 1e-6 * scale);
+    }
+}
+
+TEST(YBranch, AdjointGradientBitsMatchGolden) {
     nofis::testcases::YBranchCase yb;
     std::vector<double> out;
     std::vector<double> grad(yb.dim());
@@ -161,7 +200,7 @@ TEST(YBranch, FiniteDifferenceGradientBitsMatchGolden) {
         out.push_back(yb.g_grad(x, grad));
         out.insert(out.end(), grad.begin(), grad.end());
     }
-    EXPECT_EQ(bits_hash(out), 0xe2890d446703f400ULL);
+    EXPECT_EQ(bits_hash(out), 0xab5ebf3c7f7bf7e8ULL);
 }
 
 }  // namespace

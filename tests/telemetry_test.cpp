@@ -254,7 +254,17 @@ TEST(TelemetryDeterminism, EstimateBitwiseIdenticalOnAndOff) {
         ASSERT_NE(p, nullptr) << phase;
         EXPECT_EQ(p->count, 6u) << phase;  // one entry per epoch
     }
-    EXPECT_NE(run_span->find("final_is"), nullptr);
+    // Final IS splits into drawing, the batched g, and the weighted sum.
+    const telemetry::SpanNode* final_is = run_span->find("final_is");
+    ASSERT_NE(final_is, nullptr);
+    double parts_ms = 0.0;
+    for (const char* part : {"sample", "g_eval", "reduce"}) {
+        const telemetry::SpanNode* p = final_is->find(part);
+        ASSERT_NE(p, nullptr) << part;
+        EXPECT_EQ(p->count, 1u) << part;
+        parts_ms += p->wall_ms;
+    }
+    EXPECT_LE(parts_ms, final_is->wall_ms);
     EXPECT_EQ(trace.counter("g_calls.train"), 3u * 6u * 30u);
     EXPECT_EQ(trace.counter("g_calls.final_is"), 200u);
     EXPECT_EQ(trace.counter("calls"), on.calls);
