@@ -43,9 +43,11 @@
 //       Print a saved stack's metadata (dim, blocks, coupling kind,
 //       parameter count) without running anything.
 //   nofis_cli serve --models DIR [--port 0] [--max-batch-rows N]
-//            [--max-wait-us 200] [--max-queue 1024] [--workers N]
+//            [--max-queue 1024] [--workers N]
 //       Serve every .nofisflow in DIR over a loopback TCP socket speaking
-//       the line-delimited JSON protocol of DESIGN.md §10. Prints
+//       the line-delimited JSON protocol of DESIGN.md §10. A batch is
+//       whatever queued while the previous batch ran, up to
+//       --max-batch-rows rows (0 = 2 * max(64, 16 * --threads)). Prints
 //       "nofis-serve: ready port=P" once listening; stops cleanly on a
 //       `shutdown` request or SIGINT/SIGTERM. Responses are bitwise
 //       identical regardless of batching, queue order, --threads or
@@ -480,7 +482,6 @@ int cmd_serve(int argc, char** argv) {
     cfg.workers = size_flag(argc, argv, "--workers", "1");
     cfg.scheduler.max_batch_rows =
         size_flag(argc, argv, "--max-batch-rows", "0");
-    cfg.scheduler.max_wait_us = u64_flag(argc, argv, "--max-wait-us", "200");
     cfg.scheduler.max_queue = size_flag(argc, argv, "--max-queue", "1024");
     cfg.scheduler.cache_mem_mb = size_flag(argc, argv, "--cache-mem-mb", "0");
     cfg.scheduler.cache_dir = arg_value(argc, argv, "--cache-dir", "");

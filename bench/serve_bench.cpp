@@ -23,8 +23,10 @@
 //     than 3x the rows/s of the 1-worker sweep.
 //
 // Each client issues `--requests` sample requests with a sliding window of
-// outstanding futures, so the scheduler always has work to coalesce without
-// overflowing its bounded queue.
+// outstanding futures. The scheduler batches whatever queued while its
+// previous batch ran (up to --max-batch-rows, 0 = its default cap), so the
+// window sets how much there is to coalesce; it stays below the bounded
+// queue.
 
 #include <algorithm>
 #include <chrono>
@@ -390,7 +392,6 @@ int main(int argc, char** argv) {
 
     serve::SchedulerConfig cfg;
     cfg.max_batch_rows = size_flag(argc, argv, "--max-batch-rows", "0");
-    cfg.max_wait_us = u64_flag(argc, argv, "--max-wait-us", "200");
     cfg.max_queue = size_flag(argc, argv, "--max-queue", "4096");
 
     serve::ModelRegistry registry(model_dir);

@@ -233,13 +233,6 @@ PoolStats ThreadPool::stats() const {
 
 PoolStats pool_stats() { return global_pool().stats(); }
 
-std::size_t preferred_batch_rows() noexcept {
-    // 16 rows per lane keeps every lane's static matmul chunk a real tile;
-    // the floor of 64 keeps single-lane serving from degenerating to
-    // per-request row counts.
-    return std::max<std::size_t>(64, 16 * num_threads());
-}
-
 void export_pool_stats(telemetry::RunTrace& trace) {
     const PoolStats s = pool_stats();
     trace.add_counter("pool.jobs", s.jobs);

@@ -110,15 +110,6 @@ void for_each_index(std::size_t n, Fn&& fn) {
 /// Utilisation of the process-global pool (created on first use).
 PoolStats pool_stats();
 
-/// Row count at which a batched flow evaluation saturates the global pool:
-/// enough rows per lane for the tiled matmul's static chunks to amortise
-/// the fork-join, independent of how many requests contributed the rows.
-/// The serving scheduler sizes its micro-batches with this by default
-/// (scaled up when the fused simd kernels are active — see
-/// serve/scheduler.cpp; this layer stays below linalg so it cannot ask the
-/// kernel dispatch itself).
-std::size_t preferred_batch_rows() noexcept;
-
 /// Dumps pool_stats() into `trace` as counters (pool.jobs, pool.tasks) and
 /// metrics (pool.lanes, pool.lane<i>.busy_ms, pool.busy_ms). Called by the
 /// metrics exporters right before serialising a run record.

@@ -12,10 +12,14 @@ namespace nofis::serve {
 namespace {
 constexpr const char* kSuffix = ".nofisflow";
 
+/// A path component that names one file: no separators, no leading dot,
+/// and no control bytes, since a NUL would end the path the filesystem
+/// sees before the suffix.
 bool valid_name(const std::string& name) {
     if (name.empty() || name.front() == '.') return false;
-    return name.find('/') == std::string::npos &&
-           name.find('\\') == std::string::npos;
+    return std::none_of(name.begin(), name.end(), [](char c) {
+        return c == '/' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+    });
 }
 }  // namespace
 

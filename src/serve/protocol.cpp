@@ -102,10 +102,15 @@ Request Request::decode(std::string_view line) {
 
     req.seed = u64_field(doc, "seed", 0);
     req.timeout_us = u64_field(doc, "timeout_us", 0);
-    req.n = static_cast<std::size_t>(
-        u64_field(doc, "n", req.op == Op::kSample ? 1 : 1000));
-    if ((req.op == Op::kSample || req.op == Op::kEstimate) && req.n == 0)
-        bad_request("'n' must be positive");
+    const std::uint64_t n =
+        u64_field(doc, "n", req.op == Op::kSample ? 1 : 1000);
+    if (req.op == Op::kSample || req.op == Op::kEstimate) {
+        if (n == 0) bad_request("'n' must be positive");
+        if (n > kMaxRequestRows)
+            bad_request("'n' must be at most " +
+                        std::to_string(kMaxRequestRows));
+    }
+    req.n = static_cast<std::size_t>(n);
 
     if (req.op == Op::kEstimate) {
         const Json* c = doc.find("case");
@@ -118,6 +123,9 @@ Request Request::decode(std::string_view line) {
         const Json* x = doc.find("x");
         if (!x || !x->is_array() || x->size() == 0)
             bad_request("log_prob requires a non-empty array field 'x'");
+        if (x->size() > kMaxRequestRows)
+            bad_request("'x' must have at most " +
+                        std::to_string(kMaxRequestRows) + " rows");
         const Json& first = x->at(0);
         if (!first.is_array() || first.size() == 0)
             bad_request("'x' must be an array of non-empty rows");

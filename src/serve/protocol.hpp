@@ -47,6 +47,16 @@ private:
     ErrorCode code_;
 };
 
+/// Most rows one request may ask for: `n` of sample/estimate, the rows of
+/// log_prob's `x`. Decode rejects more with bad_request, so no request
+/// allocates or simulates beyond it.
+inline constexpr std::size_t kMaxRequestRows = std::size_t{1} << 20;
+
+/// Longest request line the server buffers. Once an unterminated line
+/// grows past it, the connection gets one bad_request and is read no
+/// further.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
 /// Operations a request can carry.
 enum class Op {
     kSample,      ///< n fresh draws z ~ q_MK with exact log q

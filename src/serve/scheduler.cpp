@@ -43,15 +43,6 @@ Json vector_json(const std::vector<double>& v, std::size_t begin,
     return arr;
 }
 
-/// Derived micro-batch row budget. The fused kernels have a low per-row
-/// cost, so coalescing twice the pool's preferred rows per dispatch keeps
-/// it saturated; responses are unaffected — §10.4 guarantees byte-equal
-/// results at any batch size, so this only moves wall-clock.
-std::size_t derived_batch_rows(const SchedulerConfig& cfg) {
-    if (cfg.max_batch_rows > 0) return cfg.max_batch_rows;
-    return 2 * parallel::preferred_batch_rows();
-}
-
 }  // namespace
 
 BatchScheduler::BatchScheduler(ModelRegistry& registry, SchedulerConfig cfg,
@@ -59,6 +50,13 @@ BatchScheduler::BatchScheduler(ModelRegistry& registry, SchedulerConfig cfg,
     : registry_(registry),
       cfg_(std::move(cfg)),
       owns_span_tree_(owns_span_tree) {
+    // 16 rows per pool lane keep every lane's static matmul chunk a real
+    // tile, the floor of 64 keeps one lane off per-request row counts, and
+    // the fused kernels' low per-row cost takes twice that. Responses do
+    // not depend on the cap (§10.4); only wall-clock does.
+    if (cfg_.max_batch_rows == 0)
+        cfg_.max_batch_rows =
+            2 * std::max<std::size_t>(64, 16 * parallel::num_threads());
     if (cfg_.cache_mem_mb > 0 || !cfg_.cache_dir.empty()) {
         evalcache::CacheConfig ccfg;
         if (cfg_.cache_mem_mb > 0) ccfg.mem_bytes = cfg_.cache_mem_mb << 20;
@@ -135,21 +133,18 @@ void BatchScheduler::set_shutdown_handler(std::function<void()> handler) {
     shutdown_handler_ = std::move(handler);
 }
 
-std::vector<BatchScheduler::Pending> BatchScheduler::assemble_locked(
-    std::unique_lock<std::mutex>& lock) {
-    (void)lock;  // caller holds mutex_
-    const std::size_t target = derived_batch_rows(cfg_);
+std::vector<BatchScheduler::Pending> BatchScheduler::assemble_locked() {
     std::vector<Pending> batch;
     std::size_t rows = 0;
     while (!queue_.empty()) {
         const std::size_t next = request_rows(queue_.front().req);
         // The first request always dispatches, even if it alone exceeds the
-        // row budget; later ones only join while the budget holds.
-        if (!batch.empty() && rows + next > target) break;
+        // row cap; later ones only join while the cap holds.
+        if (!batch.empty() && rows + next > cfg_.max_batch_rows) break;
         rows += next;
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
-        if (rows >= target) break;
+        if (rows >= cfg_.max_batch_rows) break;
     }
     return batch;
 }
@@ -165,34 +160,12 @@ void BatchScheduler::loop() {
             cv_.wait(lock, [&] {
                 return stopping_ || (!queue_.empty() && !paused_);
             });
-            if (queue_.empty()) {
-                if (stopping_) return;
-                continue;
-            }
-            if (!stopping_) {
-                // Coalescing window: wait up to max_wait_us for more rows.
-                const std::size_t target = derived_batch_rows(cfg_);
-                const auto window_end =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(cfg_.max_wait_us);
-                auto queued_rows = [&] {
-                    std::size_t rows = 0;
-                    for (const Pending& p : queue_)
-                        rows += request_rows(p.req);
-                    return rows;
-                };
-                while (!stopping_ && !paused_ && queued_rows() < target) {
-                    if (cv_.wait_until(lock, window_end) ==
-                        std::cv_status::timeout)
-                        break;
-                }
-                if (paused_ && !stopping_) continue;
-            }
-            batch = assemble_locked(lock);
+            if (queue_.empty()) return;  // stopping, and every request served
+            batch = assemble_locked();
             telemetry::metric("serve.queue_peak",
                               static_cast<double>(queue_peak_));
         }
-        if (!batch.empty()) execute(batch);
+        execute(batch);
     }
 }
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -20,16 +19,13 @@
 
 namespace nofis::serve {
 
-/// Micro-batching knobs. The defaults size batches to the thread pool so
+/// Serving knobs. The default row cap sizes batches to the thread pool so
 /// the flow's matmuls run at tile width instead of per-request row counts.
 struct SchedulerConfig {
-    /// Rows (sample draws / log_prob points) per micro-batch; a batch is
-    /// dispatched as soon as it holds this many rows. 0 = derive from the
-    /// pool via parallel::preferred_batch_rows().
+    /// Row cap of one micro-batch (sample draws / log_prob points /
+    /// estimate draws). 0 = 2 * max(64, 16 * pool lanes), resolved when
+    /// the scheduler is constructed.
     std::size_t max_batch_rows = 0;
-    /// How long the scheduler waits for more work to coalesce once the
-    /// first request of a batch arrived.
-    std::uint64_t max_wait_us = 200;
     /// Bounded request queue: submissions beyond this complete immediately
     /// with a kQueueFull error (backpressure, never unbounded memory).
     std::size_t max_queue = 1024;
@@ -46,9 +42,10 @@ struct SchedulerConfig {
     std::string cache_dir;
 };
 
-/// Coalesces concurrent serving requests into micro-batches and executes
-/// them on one scheduler thread (the heavy math inside fans out on the
-/// global parallel::ThreadPool).
+/// Executes serving requests in micro-batches on one scheduler thread (the
+/// heavy math inside fans out on the global parallel::ThreadPool). A batch
+/// is whatever queued while the previous batch ran, up to max_batch_rows;
+/// queued work is never held back to wait for more.
 ///
 /// Determinism contract — the serving extension of DESIGN.md §8.2: every
 /// request derives all randomness from its own `seed`, batched rows are
@@ -60,8 +57,8 @@ struct SchedulerConfig {
 /// Telemetry (active trace only): serve.requests / serve.batches /
 /// serve.batch_rows counters, a batch-size histogram
 /// (serve.batch_size.le_{1,4,16,64} / gt_64), serve.queue_peak metric, and
-/// per-phase spans (serve_batch → wait/assemble/execute) recorded on the
-/// scheduler thread via telemetry::adopt_span_tree().
+/// per-batch spans (serve_batch → execute) recorded on the scheduler thread
+/// via telemetry::adopt_span_tree().
 class BatchScheduler {
 public:
     /// `owns_span_tree`: the scheduler thread adopts the active trace's
@@ -103,7 +100,7 @@ private:
     };
 
     void loop();
-    std::vector<Pending> assemble_locked(std::unique_lock<std::mutex>& lock);
+    std::vector<Pending> assemble_locked();
     void execute(std::vector<Pending>& batch);
     static std::size_t request_rows(const Request& req) noexcept;
 

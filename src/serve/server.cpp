@@ -141,7 +141,19 @@ void Server::accept_loop() {
 
 void Server::serve_connection(Connection& conn) {
     conn.reader = std::thread([this, &conn] {
-        std::string buffer;
+        const auto respond = [&conn](std::future<Response> future) {
+            {
+                const std::lock_guard<std::mutex> lock(conn.mutex);
+                conn.pending.push_back(std::move(future));
+            }
+            conn.cv.notify_all();
+        };
+        const auto reject = [&respond](const ServeError& e) {
+            std::promise<Response> ready;
+            ready.set_value(Response::failure(Request{}, e));
+            respond(ready.get_future());
+        };
+        std::string buffer;  // the unterminated tail: holds no '\n'
         char chunk[4096];
         // Stops at EOF, including the read-half shutdown of teardown; the
         // stopped_ check keeps a peer that never stops sending from holding
@@ -149,33 +161,32 @@ void Server::serve_connection(Connection& conn) {
         while (!stopped_.load(std::memory_order_relaxed)) {
             const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
             if (n <= 0) break;
+            std::size_t scan = buffer.size();  // only new bytes can hold '\n'
             buffer.append(chunk, static_cast<std::size_t>(n));
             std::size_t start = 0;
             for (;;) {
-                const std::size_t nl = buffer.find('\n', start);
+                const std::size_t nl = buffer.find('\n', scan);
                 if (nl == std::string::npos) break;
                 std::string_view line(buffer.data() + start, nl - start);
-                start = nl + 1;
+                start = scan = nl + 1;
                 if (line.empty()) continue;
-
-                std::future<Response> future;
                 try {
                     Request req = Request::decode(line);
                     BatchScheduler& shard = *schedulers_[route_worker(
                         req.model, schedulers_.size())];
-                    future = shard.submit(std::move(req));
+                    respond(shard.submit(std::move(req)));
                 } catch (const ServeError& e) {
-                    std::promise<Response> ready;
-                    ready.set_value(Response::failure(Request{}, e));
-                    future = ready.get_future();
+                    reject(e);
                 }
-                {
-                    const std::lock_guard<std::mutex> lock(conn.mutex);
-                    conn.pending.push_back(std::move(future));
-                }
-                conn.cv.notify_all();
             }
             buffer.erase(0, start);
+            if (buffer.size() > kMaxLineBytes) {
+                reject(ServeError(ErrorCode::kBadRequest,
+                                  "request line exceeds " +
+                                      std::to_string(kMaxLineBytes) +
+                                      " bytes"));
+                break;
+            }
         }
         {
             const std::lock_guard<std::mutex> lock(conn.mutex);

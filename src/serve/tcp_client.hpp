@@ -27,8 +27,8 @@ public:
     std::string call_raw(const std::string& line);
 
     /// Pipelines every line, then reads exactly one response per line, in
-    /// order. This is how a single client saturates the scheduler's
-    /// micro-batching window.
+    /// order. This is how a single client queues several requests into
+    /// one micro-batch.
     std::vector<std::string> pipeline_raw(const std::vector<std::string>& lines);
 
     /// Split halves of call_raw for pipelined use from two threads: one

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -68,6 +69,17 @@ flow::CouplingStack make_perturbed_stack(std::size_t dim,
                                             (i + r + c + seed % 13) % 7 + 1);
     flow::restore_params(stack, snap);
     return stack;
+}
+
+Request sample_req(std::uint64_t id, const std::string& model,
+                   std::uint64_t seed, std::size_t n) {
+    Request req;
+    req.id = id;
+    req.op = Op::kSample;
+    req.model = model;
+    req.seed = seed;
+    req.n = n;
+    return req;
 }
 
 /// Restores the default pool size when a test tweaks --threads.
@@ -157,7 +169,7 @@ TEST(ServeProtocol, RequestDecodeValidates) {
     EXPECT_EQ(req.seed, 42u);
     EXPECT_EQ(req.n, 5u);
 
-    const auto expect_bad = [](const char* line) {
+    const auto expect_bad = [](const std::string& line) {
         try {
             Request::decode(line);
             FAIL() << "expected ServeError for: " << line;
@@ -171,6 +183,16 @@ TEST(ServeProtocol, RequestDecodeValidates) {
     expect_bad(R"({"op":"sample","model":"m","n":0})");    // zero rows
     expect_bad(R"({"op":"estimate","model":"m"})");        // missing case
     expect_bad(R"({"op":"log_prob","model":"m","x":[[1],[1,2]]})");  // ragged
+
+    // Row counts are bounded before anything is allocated.
+    const std::string over = std::to_string(serve::kMaxRequestRows + 1);
+    EXPECT_EQ(Request::decode(R"({"op":"sample","model":"m","n":)" +
+                              std::to_string(serve::kMaxRequestRows) + "}")
+                  .n,
+              serve::kMaxRequestRows);
+    expect_bad(R"({"op":"sample","model":"m","n":)" + over + "}");
+    expect_bad(R"({"op":"estimate","model":"m","case":"C","n":)" + over + "}");
+    expect_bad(R"({"op":"sample","model":"m","n":99999999999})");
 }
 
 TEST(ServeProtocol, RequestEncodeDecodeRoundTrip) {
@@ -212,7 +234,13 @@ TEST_F(ServeFixture, RegistryRejectsUnknownAndTraversalNames) {
     } catch (const serve::ServeError& e) {
         EXPECT_EQ(e.code(), ErrorCode::kUnknownModel);
     }
-    for (const char* evil : {"../toy3", "a/b", "", ".hidden"}) {
+    // A NUL would end the path the filesystem sees at "<dir>/secret", a
+    // plain file; control bytes are rejected before any file is opened.
+    std::ofstream(dir_ + "/secret") << "not a flow";
+    for (const std::string& evil :
+         {std::string("../toy3"), std::string("a/b"), std::string(),
+          std::string(".hidden"), std::string("secret\0", 7),
+          std::string("toy3\n"), std::string("to\x1fy3")}) {
         try {
             registry.get(evil);
             FAIL() << "expected kBadRequest for '" << evil << "'";
@@ -220,6 +248,12 @@ TEST_F(ServeFixture, RegistryRejectsUnknownAndTraversalNames) {
             EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
         }
     }
+    // The same name off the wire: \u0000 decodes to a NUL byte.
+    serve::BatchScheduler scheduler(registry, serve::SchedulerConfig{});
+    const Response info = serve::Client(scheduler).call(
+        Request::decode(R"({"op":"info","model":"secret\u0000"})"));
+    EXPECT_FALSE(info.ok);
+    EXPECT_EQ(info.error_code, ErrorCode::kBadRequest);
 }
 
 TEST_F(ServeFixture, RegistryReloadSwapsEvictDrops) {
@@ -284,9 +318,7 @@ TEST_F(ServeFixture, ReloadAndEvictKeepHeldInstancesBitwiseIntact) {
 
 TEST_F(ServeFixture, ReloadEvictChurnUnderTrafficStaysStructured) {
     serve::ModelRegistry registry(dir_);
-    serve::SchedulerConfig cfg;
-    cfg.max_wait_us = 50;
-    serve::BatchScheduler scheduler(registry, cfg);
+    serve::BatchScheduler scheduler(registry, serve::SchedulerConfig{});
 
     // Clients hammer samples while the main thread swaps weights under
     // them: every response must stay ok — in-flight batches ride their held
@@ -379,7 +411,6 @@ std::map<std::uint64_t, std::string> run_workload(
     serve::ModelRegistry registry(dir);
     serve::SchedulerConfig cfg;
     cfg.max_batch_rows = max_batch_rows;
-    cfg.max_wait_us = 50;
     serve::BatchScheduler scheduler(registry, cfg);
     serve::Client client(scheduler);
 
@@ -455,6 +486,33 @@ TEST_F(ServeFixture, BatchedSampleMatchesStandaloneStackSample) {
             EXPECT_EQ(z->at(r).at(c).as_double(), expected.z(r, c));
         EXPECT_EQ(log_q->at(r).as_double(), expected.log_q[r]);
     }
+}
+
+TEST_F(ServeFixture, QueuedRequestsCoalesceUpToTheRowCap) {
+    // A batch is what queued while the scheduler was busy, capped at
+    // max_batch_rows: ten 8-row samples at a 32-row cap run as 32 + 32 + 16
+    // rows.
+    serve::ModelRegistry registry(dir_);
+    serve::SchedulerConfig cfg;
+    cfg.max_batch_rows = 32;
+    telemetry::RunTrace trace;
+    telemetry::set_active(&trace);
+    {
+        serve::BatchScheduler scheduler(registry, cfg);
+        serve::Client client(scheduler);
+        scheduler.pause();
+        std::vector<std::future<Response>> futures;
+        for (std::uint64_t id = 1; id <= 10; ++id)
+            futures.push_back(client.async(sample_req(id, "toy3", id, 8)));
+        scheduler.resume();
+        for (auto& f : futures) {
+            const Response res = f.get();
+            EXPECT_TRUE(res.ok) << res.error_message;
+        }
+    }
+    telemetry::set_active(nullptr);
+    EXPECT_EQ(trace.counter("serve.batches"), 3u);
+    EXPECT_EQ(trace.counter("serve.batch_rows"), 80u);
 }
 
 // ---------------------------------------------------------------------------
@@ -705,6 +763,46 @@ TEST_F(ServeFixture, ServerSurvivesClientDisconnectMidRequest) {
     server.shutdown();
 }
 
+TEST_F(ServeFixture, OverlongLineIsABadRequestAndTheServerKeepsServing) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    serve::Server server(cfg);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const timeval timeout{20, 0};  // a server that never answers fails
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    // One byte past the bound and no newline: the server answers once and
+    // stops reading this connection instead of buffering without end.
+    const std::string flood(serve::kMaxLineBytes + 1, 'x');
+    for (std::size_t sent = 0; sent < flood.size();) {
+        const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                                 MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        sent += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply += c;
+    ::close(fd);
+    ASSERT_FALSE(reply.empty()) << "no response to an overlong line";
+    const Response res = Response::decode(reply);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error_code, ErrorCode::kBadRequest);
+
+    serve::TcpClient fresh("127.0.0.1", server.port());
+    Request ping;
+    ping.op = Op::kPing;
+    ping.id = 5;
+    EXPECT_TRUE(fresh.call(ping).ok);
+    server.shutdown();
+}
+
 TEST_F(ServeFixture, ShutdownAckReachesTheClient) {
     // One lane and one-row batches: the configuration in which the ack is
     // most often still unsent when teardown starts.
@@ -805,17 +903,6 @@ std::unique_ptr<serve::Server> start_server(const std::string& dir,
     cfg.model_dir = dir;
     cfg.workers = workers;
     return std::make_unique<serve::Server>(cfg);
-}
-
-Request sample_req(std::uint64_t id, const std::string& model,
-                   std::uint64_t seed, std::size_t n) {
-    Request req;
-    req.id = id;
-    req.op = Op::kSample;
-    req.model = model;
-    req.seed = seed;
-    req.n = n;
-    return req;
 }
 
 TEST_F(ServeFixture, TwoSchedulersServeSingleSchedulerBytes) {
