@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the numeric substrates: matmul,
-// LU solve, coupling-layer forward/inverse, full-flow sampling, MNA AC
-// solve, one g() evaluation of each expensive test-case model, and one
-// Y-branch finite-difference gradient. These bound the wall-clock cost of
-// a NOFIS run (MEN forward passes + g calls).
+// the tanh and fused dense-layer kernels, LU solve, coupling-layer
+// forward/inverse, full-flow sampling, MNA AC solve, one g() evaluation of
+// each expensive test-case model, and one Y-branch finite-difference
+// gradient. These bound the wall-clock cost of a NOFIS run (MEN forward
+// passes + g calls).
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "autodiff/ops.hpp"
 #include "circuit/ac.hpp"
@@ -104,6 +108,65 @@ void BM_TransportValues(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * z0.rows());
 }
 BENCHMARK(BM_TransportValues)->Arg(0)->Arg(1);
+
+// tanh over 64K values (simd kernels) with Arg = the percent of values on
+// the exp branch (|x| ≥ 0.625). Each value picks its branch independently,
+// so four-lane vectors mix the branches the way flow pre-activations do.
+void BM_EwTanh(benchmark::State& state) {
+    linalg::kernels::set_choice(linalg::kernels::Choice::kSimd);
+    const double big_frac = static_cast<double>(state.range(0)) / 100.0;
+    const std::size_t n = std::size_t{1} << 16;
+    rng::Engine eng(5);
+    std::vector<double> a(n), out(n);
+    for (double& v : a) {
+        const double mag = eng.uniform() < big_frac ? eng.uniform(0.625, 4.0)
+                                                    : eng.uniform(0.0, 0.625);
+        v = eng.uniform() < 0.5 ? -mag : mag;
+    }
+    for (auto _ : state) {
+        linalg::kernels::ew_tanh(a.data(), out.data(), n);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EwTanh)->Arg(0)->Arg(3)->Arg(11)->Arg(24)->Arg(50)->Arg(100);
+
+// One fused dense layer (simd kernels, one lane) at 1000 rows, for the
+// conditioner shapes of the Table-1 flows: Args = {in, out}. Layers of
+// width 32 are hidden layers and apply tanh; the others are output layers
+// with no activation, as in MLP::predict. Items are multiply-adds.
+void BM_LinearAct(benchmark::State& state) {
+    linalg::kernels::set_choice(linalg::kernels::Choice::kSimd);
+    parallel::set_num_threads(1);
+    const auto in = static_cast<std::size_t>(state.range(0));
+    const auto out = static_cast<std::size_t>(state.range(1));
+    const std::size_t rows = 1000;
+    rng::Engine eng(9);
+    const auto x = rng::standard_normal_matrix(eng, rows, in);
+    auto w = rng::standard_normal_matrix(eng, in, out);
+    w *= 1.0 / std::sqrt(static_cast<double>(in));
+    const auto b = rng::standard_normal_matrix(eng, 1, out);
+    linalg::Matrix y(rows, out);
+    const auto act = out == 32 ? linalg::kernels::Act::kTanh
+                               : linalg::kernels::Act::kNone;
+    for (auto _ : state) {
+        linalg::kernels::linear_act_rows(x.data(), w.data(), b.data(),
+                                         y.data(), 0, rows, in, out, act);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows * in * out);
+}
+BENCHMARK(BM_LinearAct)
+    ->Args({1, 32})
+    ->Args({13, 32})
+    ->Args({32, 32})
+    ->Args({32, 26})
+    ->Args({32, 2})
+    ->Args({3, 32})
+    ->Args({32, 6})
+    ->Args({32, 75});
 
 void BM_MatMulThreaded(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

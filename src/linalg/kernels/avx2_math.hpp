@@ -94,17 +94,34 @@ inline void ktanh4_small(__m256d ax, __m256d* num, __m256d* den) {
     *den = q;
 }
 
-/// Lane-wise k_tanh. See scalar_math.hpp for the algorithm commentary
-/// (single num/den division, magnitude on |x|, one sign bit-or at the
-/// end). When every lane takes the same branch the other branch is skipped
-/// entirely — the blend would discard it, so the results are unchanged;
-/// NaN lanes compare false and ride the small branch, like the scalar.
+/// The tail k_tanh runs after either branch: the one division num/den, the
+/// input's sign bit or-ed in, and the canonical NaN (ax = sign-cleared
+/// input) for NaN lanes, same as the scalar.
+inline __m256d ktanh4_finish(__m256d x, __m256d ax, __m256d num,
+                             __m256d den) {
+    __m256d t = _mm256_div_pd(num, den);
+    t = _mm256_or_pd(t, _mm256_and_pd(x, _mm256_set1_pd(-0.0)));
+    return _mm256_blendv_pd(t, ax, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
+}
+
+/// Lane mask of the lanes that take the exp branch (|x| ≥ 0.625). NaN
+/// lanes compare false and ride the small branch, like the scalar.
+inline __m256d ktanh4_bigmask(__m256d ax) {
+    return _mm256_cmp_pd(ax, _mm256_set1_pd(cephes::kTanhBranch),
+                         _CMP_GE_OQ);
+}
+
+/// Lane-wise k_tanh on one vector. See scalar_math.hpp for the algorithm
+/// commentary (single num/den division, magnitude on |x|, one sign bit-or
+/// at the end). When every lane takes the same branch the other branch is
+/// skipped; when the lanes disagree both branches run on all four lanes
+/// and a blend keeps each lane's own. Arrays of tanh go through the
+/// split-branch pass in avx2.cpp instead, which runs the exp branch only
+/// on the lanes that take it; this form serves the affine kernels'
+/// s = cap · tanh(h).
 inline __m256d ktanh4(__m256d x) {
-    using namespace cephes;
-    const __m256d signmask = _mm256_set1_pd(-0.0);
-    const __m256d ax = _mm256_andnot_pd(signmask, x);
-    const __m256d bigmask =
-        _mm256_cmp_pd(ax, _mm256_set1_pd(kTanhBranch), _CMP_GE_OQ);
+    const __m256d ax = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+    const __m256d bigmask = ktanh4_bigmask(ax);
     const int mm = _mm256_movemask_pd(bigmask);
 
     __m256d num, den;
@@ -119,11 +136,7 @@ inline __m256d ktanh4(__m256d x) {
         num = _mm256_blendv_pd(snum, bnum, bigmask);
         den = _mm256_blendv_pd(sden, bden, bigmask);
     }
-    __m256d t = _mm256_div_pd(num, den);
-    t = _mm256_or_pd(t, _mm256_and_pd(x, signmask));
-    // Canonical NaN out (ax = sign-cleared input), same as the scalar.
-    t = _mm256_blendv_pd(t, ax, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
-    return t;
+    return ktanh4_finish(x, ax, num, den);
 }
 
 /// Lane-wise k_sigmoid: 1/(1 + kexp4(−x)); negation is the same sign-bit

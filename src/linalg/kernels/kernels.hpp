@@ -24,7 +24,11 @@ namespace nofis::linalg::kernels {
 /// Determinism contract: for every kernel the per-output-element operation
 /// and accumulation order is IDENTICAL across flavours and SIMD backends —
 /// vectorization only widens the independent output lanes, never
-/// reassociates a reduction, and no FMA contraction is permitted
+/// reassociates a reduction. Which elements share a vector is free: the
+/// AVX2 dense layer tiles four rows by eight columns, and its tanh packs
+/// the lanes that take the exp branch into vectors of their own, because
+/// each element still runs its own unchanged sequence. No FMA contraction
+/// is permitted
 /// (`-ffp-contract=off` on the kernel translation units, and no TU is
 /// built with -mfma). tanh/exp/sigmoid do NOT call libm: the kernel layer
 /// owns deterministic Cephes-style ports (scalar_math.hpp) whose AVX2

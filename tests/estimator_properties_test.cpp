@@ -169,8 +169,9 @@ TEST_P(EveryEstimator, SeedChangesRandomness) {
     const auto rb = est->estimate(problem, b);
     // Different draws; allow the (legitimate) coincidence of two zero
     // estimates for the crudest methods at this budget.
-    if (ra.p_hat != 0.0 || rb.p_hat != 0.0)
+    if (ra.p_hat != 0.0 || rb.p_hat != 0.0) {
         EXPECT_NE(ra.p_hat, rb.p_hat) << spec().name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, EveryEstimator,

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -29,6 +32,7 @@
 #include "nn/mlp.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/engine.hpp"
+#include "util/hash.hpp"
 
 namespace nofis {
 namespace {
@@ -70,13 +74,14 @@ bool bitwise_equal(const std::vector<double>& a,
     return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Deterministic fill covering magnitudes and signs; optionally seeds a few
-/// non-finite values (NaN, +Inf, -Inf) at fixed positions.
+/// Deterministic U(−half_width, half_width) fill covering magnitudes and
+/// signs; optionally seeds a few non-finite values (NaN, +Inf, -Inf) at
+/// fixed positions.
 Matrix filled(std::size_t rows, std::size_t cols, std::uint64_t seed,
-              bool poison = false) {
+              bool poison = false, double half_width = 3.0) {
     Matrix m(rows, cols);
     std::mt19937_64 gen(seed);
-    std::uniform_real_distribution<double> dist(-3.0, 3.0);
+    std::uniform_real_distribution<double> dist(-half_width, half_width);
     for (double& v : m.flat()) v = dist(gen);
     if (poison && m.size() > 0) {
         m.flat()[0] = kNaN;
@@ -358,6 +363,129 @@ TEST(KernelProperty, ElementwiseBitwiseMatchesScalar) {
     }
 }
 
+/// Double with the given bit pattern (NaNs with a chosen sign and payload).
+double from_bits(std::uint64_t bits) {
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+/// v with its sign bit set when `negative` — a bit op, so NaNs keep their
+/// payload (negation need not preserve a NaN's sign).
+double with_sign(double v, bool negative) {
+    return negative ? from_bits(std::bit_cast<std::uint64_t>(v) |
+                                0x8000000000000000ULL)
+                    : v;
+}
+
+/// One tanh input on the chosen side of the branch point |x| = 0.625:
+/// every third a random magnitude, the rest cycling through the edge
+/// values, with a random sign. NaNs compare false, so they are "small".
+double tanh_input(bool big, std::size_t i, std::mt19937_64& gen) {
+    static const double kBig[] = {0.625, std::nextafter(0.625, 1.0),
+                                  1.7,   19.1,
+                                  40.0,  710.0,
+                                  std::numeric_limits<double>::max(), kInf};
+    static const double kSmall[] = {
+        0.0,
+        std::nextafter(0.625, 0.0),
+        0.3,
+        1e-8,
+        std::numeric_limits<double>::denorm_min(),
+        2.2e-310,
+        from_bits(0x7ff8000000000123ULL),   // +NaN with a payload
+        from_bits(0xfff800000000abcdULL)};  // -NaN with a payload
+    std::uniform_real_distribution<double> dist(0.0, 1.0);
+    double v;
+    if (i % 3 == 0)
+        v = big ? 0.625 + 5.0 * dist(gen) : 0.625 * dist(gen);
+    else if (big)
+        v = kBig[(i / 3) % std::size(kBig)];
+    else
+        v = kSmall[(i / 3) % std::size(kSmall)];
+    return with_sign(v, gen() & 1);
+}
+
+TEST(KernelProperty, TanhEveryLaneMaskMatchesScalar) {
+    // Vector q of the input takes big/small lane mask (q + rot) mod 16, so
+    // every mask appears in every lane group, at every alignment of the
+    // input mod 4 doubles, across the split kernel's 256-value chunk edges.
+    const detail::Table& ref = detail::scalar_table();
+    std::mt19937_64 gen(2026);
+    for (const auto& [table, name] : backend_tables()) {
+        if (!table->ew_tanh) continue;
+        for (std::size_t n :
+             {0ul, 1ul, 3ul, 4ul, 5ul, 255ul, 256ul, 257ul, 770ul}) {
+            for (std::size_t offset = 0; offset < 4; ++offset) {
+                for (unsigned rot = 0; rot < 16; ++rot) {
+                    std::vector<double> buf(offset + n, 0.0);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const unsigned mask = (i / 4 + rot) % 16;
+                        buf[offset + i] =
+                            tanh_input((mask >> (i % 4)) & 1u, i, gen);
+                    }
+                    const double* a = buf.data() + offset;
+                    std::vector<double> want(n), got(n);
+                    ref.ew_tanh(a, want.data(), n);
+                    table->ew_tanh(a, got.data(), n);
+                    EXPECT_TRUE(bitwise_equal(want, got))
+                        << name << " n=" << n << " offset=" << offset
+                        << " rot=" << rot;
+                    double* inplace = buf.data() + offset;
+                    table->ew_tanh(inplace, inplace, n);
+                    EXPECT_TRUE(n == 0 || std::memcmp(inplace, want.data(),
+                                                      n * sizeof(double)) == 0)
+                        << name << " in place n=" << n << " offset=" << offset
+                        << " rot=" << rot;
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelProperty, LinearActRowsEveryTileAndTail) {
+    // Every row-tile remainder (1–9, 17 rows) × column-tile remainder
+    // (8/4/masked) for each input width, and the tanh row blocks of about
+    // 256 outputs (75 columns × 17 rows spans several). x ∈ U(−1, 1),
+    // W ∈ U(−2/√in, 2/√in) and b ∈ U(−0.5, 0.5) put the pre-activations
+    // at a spread of about 0.7, so tanh sees both branches in most vectors.
+    const detail::Table& ref = detail::scalar_table();
+    using kernels::Act;
+    for (const auto& [table, name] : backend_tables()) {
+        if (!table->linear_act_rows) continue;
+        for (std::size_t rows : {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul,
+                                 17ul}) {
+            for (std::size_t in : {1ul, 3ul, 13ul, 32ul}) {
+                for (std::size_t out : {0ul, 1ul, 2ul, 3ul, 4ul, 5ul, 6ul,
+                                        7ul, 8ul, 9ul, 12ul, 16ul, 26ul, 32ul,
+                                        33ul, 75ul}) {
+                    const std::uint64_t seed = 1000 * rows + 100 * in + out;
+                    const Matrix w = filled(in, out, seed + 1, false,
+                                            2.0 / std::sqrt(double(in)));
+                    const Matrix b = filled(1, out, seed + 2, false, 0.5);
+                    for (bool poison : {false, true}) {
+                        const Matrix x = filled(rows, in, seed, poison, 1.0);
+                        for (Act act : {Act::kNone, Act::kTanh, Act::kRelu,
+                                        Act::kLeakyRelu, Act::kSigmoid}) {
+                            Matrix want(rows, out), got(rows, out);
+                            ref.linear_act_rows(x.data(), w.data(), b.data(),
+                                                want.data(), 0, rows, in, out,
+                                                act);
+                            table->linear_act_rows(x.data(), w.data(),
+                                                   b.data(), got.data(), 0,
+                                                   rows, in, out, act);
+                            EXPECT_TRUE(bitwise_equal(want, got))
+                                << name << " act=" << static_cast<int>(act)
+                                << " " << rows << "x" << in << "x" << out
+                                << (poison ? " poisoned" : "");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end determinism: the fused value path against the autodiff tape
 // forward, under scalar and simd and at thread counts {1, 2, 8}.
@@ -572,6 +700,65 @@ TEST(KernelMath, OddSymmetryIsExact) {
     for (int i = 0; i <= 5000; ++i) {
         const double x = 0.004 * i;
         ASSERT_EQ(kernels::k_tanh(-x), -kernels::k_tanh(x)) << x;
+    }
+}
+
+/// FNV-1a of a buffer's bit patterns.
+std::uint64_t bits_hash(const double* v, std::size_t n) {
+    return util::fnv1a64(v, n * sizeof(double));
+}
+
+/// Exact pseudo-random double in [−half_width, half_width) for a
+/// power-of-two half_width: a 53-bit integer scaled by powers of two, so
+/// no rounding (and no contraction) can make the sweep differ between
+/// compilers.
+double exact_uniform(std::uint64_t seed, std::uint64_t i, double half_width) {
+    const auto k = static_cast<std::int64_t>(
+        util::splitmix64(seed ^ util::splitmix64(i)) >> 11);
+    return static_cast<double>(k - (std::int64_t{1} << 52)) * 0x1p-52 *
+           half_width;
+}
+
+TEST(KernelMath, TanhBitsArePinned) {
+    // Golden hashes of the tanh kernels' output bits, taken from the
+    // reference kernels before the split-branch AVX2 tanh landed. The
+    // property tests compare backends with each other; this pins the bits
+    // all of them produce, so a change to the operation sequence that the
+    // scalar and the SIMD code would share still fails.
+    std::vector<double> a;
+    for (std::uint64_t i = 0; i < 1031; ++i)
+        a.push_back(exact_uniform(41, i, 2.0));  // ~69% big lanes, mixed
+    for (double v : {0.0, 0.625, std::nextafter(0.625, 0.0),
+                     std::nextafter(0.625, 1.0), 19.1, 40.0, kInf,
+                     std::numeric_limits<double>::denorm_min(), 2.2e-310,
+                     from_bits(0x7ff8000000000123ULL)}) {
+        a.push_back(v);
+        a.push_back(with_sign(v, true));
+    }
+    constexpr std::size_t kRows = 41, kIn = 13, kOut = 26;
+    std::vector<double> x(kRows * kIn), w(kIn * kOut), b(kOut);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = exact_uniform(42, i, 1.0);
+    for (std::size_t i = 0; i < w.size(); ++i)
+        w[i] = exact_uniform(43, i, 0.5);
+    for (std::size_t i = 0; i < b.size(); ++i)
+        b[i] = exact_uniform(44, i, 0.5);
+    x[5 * kIn + 2] = from_bits(0xfff800000000abcdULL);
+    x[9 * kIn] = kInf;
+
+    std::vector<std::pair<const detail::Table*, const char*>> tables =
+        backend_tables();
+    tables.emplace_back(&detail::scalar_table(), "scalar");
+    for (const auto& [table, name] : tables) {
+        std::vector<double> y(a.size());
+        table->ew_tanh(a.data(), y.data(), y.size());
+        EXPECT_EQ(bits_hash(y.data(), y.size()), 0xceee8246b830d542ULL)
+            << name;
+        std::vector<double> h(kRows * kOut);
+        table->linear_act_rows(x.data(), w.data(), b.data(), h.data(), 0,
+                               kRows, kIn, kOut, kernels::Act::kTanh);
+        EXPECT_EQ(bits_hash(h.data(), h.size()), 0x8a04f479dec6923cULL)
+            << name;
     }
 }
 
