@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the numeric substrates: matmul,
-// the tanh and fused dense-layer kernels, LU solve, coupling-layer
-// forward/inverse, full-flow sampling, MNA AC solve, one g() evaluation of
-// each expensive test-case model, and one Y-branch finite-difference
-// gradient. These bound the wall-clock cost of a NOFIS run (MEN forward
-// passes + g calls).
+// the tanh, fused dense-layer and affine-coupling kernels, LU solve,
+// coupling-layer forward/inverse, full-flow sampling, MNA AC solve, one g()
+// evaluation of each expensive test-case model, and one Y-branch
+// finite-difference gradient. These bound the wall-clock cost of a NOFIS
+// run (MEN forward passes + g calls).
 
 #include <benchmark/benchmark.h>
 
@@ -167,6 +167,45 @@ BENCHMARK(BM_LinearAct)
     ->Args({3, 32})
     ->Args({32, 6})
     ->Args({32, 75});
+
+// One affine coupling (simd kernels, one lane) over 1000 rows: Args =
+// {nb, percent of s-values on tanh's exp branch, direction (0 forward,
+// 1 inverse)}. nb is the number of transformed columns, half the flow's
+// dimension: 1 for Leaf, 13 for YBranch, 20 for Powell.
+void BM_Affine(benchmark::State& state) {
+    linalg::kernels::set_choice(linalg::kernels::Choice::kSimd);
+    const auto nb = static_cast<std::size_t>(state.range(0));
+    const double big_frac = static_cast<double>(state.range(1)) / 100.0;
+    const auto kernel = state.range(2) == 0 ? linalg::kernels::affine_fwd_rows
+                                            : linalg::kernels::affine_inv_rows;
+    const std::size_t rows = 1000;
+    const std::size_t dim = 2 * nb;
+    rng::Engine eng(6);
+    const auto x = rng::standard_normal_matrix(eng, rows, dim);
+    linalg::Matrix h(rows, 2 * nb);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t j = 0; j < nb; ++j) {
+            const double mag = eng.uniform() < big_frac
+                                   ? eng.uniform(0.625, 4.0)
+                                   : eng.uniform(0.0, 0.625);
+            h(r, j) = eng.uniform() < 0.5 ? -mag : mag;
+            h(r, nb + j) = eng.uniform(-1.0, 1.0);
+        }
+    }
+    std::vector<std::size_t> idx_b(nb);
+    for (std::size_t j = 0; j < nb; ++j) idx_b[j] = nb + j;
+    linalg::Matrix y = x;
+    std::vector<double> ld(rows, 0.0);
+    for (auto _ : state) {
+        kernel(x.data(), h.data(), idx_b.data(), nb, 2.0, dim, y.data(),
+               ld.data(), 0, rows);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::DoNotOptimize(ld.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows * nb);
+}
+BENCHMARK(BM_Affine)->ArgsProduct({{1, 3, 13, 20, 31}, {0, 20, 100}, {0, 1}});
 
 void BM_MatMulThreaded(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

@@ -13,9 +13,11 @@
 //
 // Only the grouping of elements into vectors differs from the scalar
 // loops: the fused dense layer computes four rows × eight columns per
-// register tile, and tanh over an array runs the split-branch pass below,
-// which packs the lanes taking the exp branch into vectors of their own.
-// Neither changes any element's operation sequence.
+// register tile, tanh runs the split-branch pass below, which packs the
+// lanes taking the exp branch into vectors of their own, and the affine
+// coupling gathers its s-values across rows into one buffer for that
+// pass. None of them changes any element's operation sequence. The RQS
+// slots point at the scalar kernels, so the table is complete.
 
 #include "linalg/kernels/table.hpp"
 
@@ -143,17 +145,19 @@ void ew_tanh_bwd_avx2(const double* y, const double* g, double* out,
     for (; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
 }
 
-// Split-branch tanh. k_tanh takes the exp branch (two divisions: kexp4's
-// and the tanh ratio) for |x| ≥ 0.625 and a rational one below; ktanh4
-// runs both on all four lanes whenever a vector's lanes disagree, as
-// many vectors of the flows' pre-activations do. The split pass runs each
-// value's branch only: pass 1 finishes every vector with the rational
-// branch and packs the inputs of its big lanes (and where they go) into
-// stack arrays; pass 2 runs the exp branch four packed lanes at a time
-// and scatters the results over pass 1's stores. Each lane still performs
-// exactly k_tanh's operation sequence for its branch, so the bits are the
-// scalar's. Vectors whose four lanes are all big run the exp branch in
-// place, unpacked.
+// Split-branch tanh, the backend's one tanh: the dense layer's activation,
+// ew_tanh and the affine coupling's s all run it. k_tanh takes the exp
+// branch (two divisions: kexp4's and the tanh ratio) for |x| ≥ 0.625 and a
+// rational one below, and the lanes of a vector of the flows'
+// pre-activations often disagree. Rather than run both branches on all
+// four lanes and blend, the split pass runs each value's branch only:
+// pass 1 finishes every vector with the rational branch and packs the
+// inputs of its big lanes (and where they go) into stack arrays; pass 2
+// runs the exp branch four packed lanes at a time and scatters the
+// results over pass 1's stores. Each lane still performs exactly k_tanh's
+// operation sequence for its branch, so the bits are the scalar's.
+// Vectors whose four lanes are all big run the exp branch in place,
+// unpacked.
 
 /// Values per split-tanh chunk. The packed lanes live in fixed stack
 /// arrays (about 4 KiB), so the pass never allocates and its memory does
@@ -368,124 +372,81 @@ void linear_act_rows_avx2(const double* x, const double* w, const double* b,
     }
 }
 
-// The affine kernels vectorize the expensive part — tanh/exp over four
-// conditioner columns at once — and keep the idx_b gather/scatter and the
-// ascending-j log-det accumulation scalar, exactly ordered as the
-// reference. When nb < 4 (low-dimensional flows: nb = dim/2) the column
-// loop has no full vector, so a second path vectorizes across four ROWS
-// instead — lanes are independent rows, so each element's bits are
-// unchanged, and each row's log-det still accumulates in ascending j.
-void affine_narrow_rows4(const double* x, const double* h,
-                       const std::size_t* idx_b, std::size_t nb,
-                       double scale_cap, std::size_t dim, double* y,
-                       double* log_det, std::size_t r, bool inverse) {
-    const __m256d cap = _mm256_set1_pd(scale_cap);
-    const __m256d signmask = _mm256_set1_pd(-0.0);
-    const std::size_t stride = 2 * nb;
-    const double* h0 = h + r * stride;
-    double ld[4] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t j = 0; j < nb; ++j) {
-        const __m256d hv =
-            _mm256_set_pd(h0[3 * stride + j], h0[2 * stride + j],
-                          h0[stride + j], h0[j]);
-        const __m256d s = _mm256_mul_pd(cap, avx2::ktanh4(hv));
-        const __m256d es =
-            avx2::kexp4(inverse ? _mm256_xor_pd(s, signmask) : s);
-        alignas(32) double sb[4];
-        alignas(32) double eb[4];
-        _mm256_store_pd(sb, s);
-        _mm256_store_pd(eb, es);
-        const std::size_t c = idx_b[j];
-        for (int u = 0; u < 4; ++u) {
-            const double t = h0[u * stride + j + nb];
-            const std::size_t at = (r + u) * dim + c;
-            y[at] = inverse ? (x[at] - t) * eb[u] : x[at] * eb[u] + t;
-            ld[u] += sb[u];
-        }
-    }
-    for (int u = 0; u < 4; ++u) log_det[r + u] += ld[u];
-}
-
-void affine_fwd_rows_avx2(const double* x, const double* h,
-                          const std::size_t* idx_b, std::size_t nb,
-                          double scale_cap, std::size_t dim, double* y,
-                          double* log_det, std::size_t r0, std::size_t r1) {
-    const __m256d cap = _mm256_set1_pd(scale_cap);
-    std::size_t rr = r0;
-    if (nb < 4) {
-        for (; rr + 4 <= r1; rr += 4)
-            affine_narrow_rows4(x, h, idx_b, nb, scale_cap, dim, y, log_det,
-                              rr, /*inverse=*/false);
-    }
-    for (std::size_t r = rr; r < r1; ++r) {
-        const double* h_row = h + r * (2 * nb);
-        double ld = 0.0;
-        std::size_t j = 0;
-        for (; j + 4 <= nb; j += 4) {
-            const __m256d s =
-                _mm256_mul_pd(cap, avx2::ktanh4(_mm256_loadu_pd(h_row + j)));
-            const __m256d es = avx2::kexp4(s);
-            alignas(32) double sb[4];
-            alignas(32) double eb[4];
-            _mm256_store_pd(sb, s);
-            _mm256_store_pd(eb, es);
-            for (int u = 0; u < 4; ++u) {
-                const double t = h_row[j + u + nb];
-                const std::size_t c = idx_b[j + u];
-                y[r * dim + c] = x[r * dim + c] * eb[u] + t;
-                ld += sb[u];
-            }
-        }
-        for (; j < nb; ++j) {
-            const double s = scale_cap * k_tanh(h_row[j]);
-            const double t = h_row[j + nb];
-            const std::size_t c = idx_b[j];
-            y[r * dim + c] = x[r * dim + c] * k_exp(s) + t;
-            ld += s;
-        }
-        log_det[r] += ld;
+/// dst[0, n) = src[0, n): four values at a time, then the last one to
+/// three one by one. GCC compiles a plain copy loop to a string move (rep
+/// movsq), whose start-up costs far more than a narrow row's copy.
+void copy_run(const double* src, double* dst, std::size_t n) {
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4)
+        _mm256_storeu_pd(dst + k, _mm256_loadu_pd(src + k));
+    switch (n - k) {
+        case 3:
+            dst[k + 2] = src[k + 2];
+            [[fallthrough]];
+        case 2:
+            dst[k + 1] = src[k + 1];
+            [[fallthrough]];
+        case 1:
+            dst[k] = src[k];
     }
 }
 
-void affine_inv_rows_avx2(const double* y, const double* h,
-                          const std::size_t* idx_b, std::size_t nb,
-                          double scale_cap, std::size_t dim, double* x,
-                          double* log_det, std::size_t r0, std::size_t r1) {
+/// The affine coupling in both directions: for each (row, column) pair,
+/// s = cap·tanh(h_s), then y = x·e^s + t (forward) or x = (y − t)·e^(−s)
+/// (Inverse), and log_det[r] += Σ_j s in ascending j. The pairs go in
+/// row-major order, at most kTanhChunk at a time: their s-half of h is
+/// copied into a stack buffer (a row may span two buffers), the split
+/// tanh, the cap multiply and the exp run over it, and then the pairs are
+/// applied in order. Each element runs the scalar's sequence, so the bits
+/// are the scalar kernels'.
+template <bool Inverse>
+void affine_rows_avx2(const double* in, const double* h,
+                      const std::size_t* idx_b, std::size_t nb,
+                      double scale_cap, std::size_t dim, double* out,
+                      double* log_det, std::size_t r0, std::size_t r1) {
+    if (nb == 0) {
+        for (std::size_t r = r0; r < r1; ++r) log_det[r] += 0.0;
+        return;
+    }
+    alignas(32) double s[kTanhChunk];
+    alignas(32) double e[kTanhChunk];
     const __m256d cap = _mm256_set1_pd(scale_cap);
     const __m256d signmask = _mm256_set1_pd(-0.0);
-    std::size_t rr = r0;
-    if (nb < 4) {
-        for (; rr + 4 <= r1; rr += 4)
-            affine_narrow_rows4(y, h, idx_b, nb, scale_cap, dim, x, log_det,
-                              rr, /*inverse=*/true);
-    }
-    for (std::size_t r = rr; r < r1; ++r) {
-        const double* h_row = h + r * (2 * nb);
-        double ld = 0.0;
-        std::size_t j = 0;
-        for (; j + 4 <= nb; j += 4) {
-            const __m256d s =
-                _mm256_mul_pd(cap, avx2::ktanh4(_mm256_loadu_pd(h_row + j)));
-            const __m256d es = avx2::kexp4(_mm256_xor_pd(s, signmask));
-            alignas(32) double sb[4];
-            alignas(32) double eb[4];
-            _mm256_store_pd(sb, s);
-            _mm256_store_pd(eb, es);
-            for (int u = 0; u < 4; ++u) {
-                const double t = h_row[j + u + nb];
-                const std::size_t c = idx_b[j + u];
-                x[r * dim + c] = (y[r * dim + c] - t) * eb[u];
-                ld += sb[u];
+    // (r, j) is the next pair to apply and ld row r's partial log-det; a
+    // row may span two buffers.
+    std::size_t r = r0, j = 0;
+    double ld = 0.0;
+    while (r < r1) {
+        std::size_t n = 0;
+        for (std::size_t gr = r, gj = j; gr < r1 && n < kTanhChunk;
+             ++gr, gj = 0) {
+            const std::size_t run = std::min(nb - gj, kTanhChunk - n);
+            copy_run(h + gr * 2 * nb + gj, s + n, run);
+            n += run;
+        }
+        ew_tanh_avx2(s, s, n);
+        std::size_t k = 0;
+        for (; k + 4 <= n; k += 4) {
+            const __m256d sv = _mm256_mul_pd(cap, _mm256_load_pd(s + k));
+            const __m256d arg = Inverse ? _mm256_xor_pd(sv, signmask) : sv;
+            _mm256_store_pd(s + k, sv);
+            _mm256_store_pd(e + k, avx2::kexp4(arg));
+        }
+        for (; k < n; ++k) {
+            s[k] = scale_cap * s[k];
+            e[k] = k_exp(Inverse ? -s[k] : s[k]);
+        }
+        for (k = 0; k < n; ++k) {
+            const double t = h[r * 2 * nb + nb + j];
+            const std::size_t at = r * dim + idx_b[j];
+            out[at] = Inverse ? (in[at] - t) * e[k] : in[at] * e[k] + t;
+            ld += s[k];
+            if (++j == nb) {
+                log_det[r++] += ld;
+                ld = 0.0;
+                j = 0;
             }
         }
-        for (; j < nb; ++j) {
-            const double s = scale_cap * k_tanh(h_row[j]);
-            const double t = h_row[j + nb];
-            const std::size_t c = idx_b[j];
-            x[r * dim + c] = (y[r * dim + c] - t) * k_exp(-s);
-            ld += s;
-        }
-        log_det[r] += ld;
     }
 }
 
@@ -511,12 +472,17 @@ void scale_shift_rows_avx2(const double* x, const double* scale,
 const Table* avx2_table() {
     if (!__builtin_cpu_supports("avx2")) return nullptr;
     static const Table t = [] {
-        Table tab;  // null slots fall back to the portable kernels
+        Table tab;
         tab.matmul_rows = matmul_rows_avx2;
         tab.linear_act_rows = linear_act_rows_avx2;
-        tab.affine_fwd_rows = affine_fwd_rows_avx2;
-        tab.affine_inv_rows = affine_inv_rows_avx2;
+        tab.affine_fwd_rows = affine_rows_avx2<false>;
+        tab.affine_inv_rows = affine_rows_avx2<true>;
         tab.scale_shift_rows = scale_shift_rows_avx2;
+        // The RQS splines have one implementation, the scalar one
+        // (kernels.hpp).
+        tab.rqs_fwd_rows = scalar_table().rqs_fwd_rows;
+        tab.rqs_inv_rows = scalar_table().rqs_inv_rows;
+        tab.rqs_bwd_rows = scalar_table().rqs_bwd_rows;
         tab.ew_add = ew_add_avx2;
         tab.ew_sub = ew_sub_avx2;
         tab.ew_mul = ew_mul_avx2;

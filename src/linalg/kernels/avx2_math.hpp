@@ -7,6 +7,10 @@
 // every lane is bitwise identical to the scalar result. No FMA (this TU is
 // built with -mavx2 only), no reassociation, no rsqrt/rcp approximations.
 //
+// tanh comes in parts (the two branches, the shared finish and the branch
+// mask) because its one vector form is the split-branch pass in avx2.cpp,
+// which runs each lane's branch only.
+//
 // When editing, change scalar_math.hpp first and transcribe: the scalar
 // file is the specification, this file is its vectorization.
 
@@ -109,34 +113,6 @@ inline __m256d ktanh4_finish(__m256d x, __m256d ax, __m256d num,
 inline __m256d ktanh4_bigmask(__m256d ax) {
     return _mm256_cmp_pd(ax, _mm256_set1_pd(cephes::kTanhBranch),
                          _CMP_GE_OQ);
-}
-
-/// Lane-wise k_tanh on one vector. See scalar_math.hpp for the algorithm
-/// commentary (single num/den division, magnitude on |x|, one sign bit-or
-/// at the end). When every lane takes the same branch the other branch is
-/// skipped; when the lanes disagree both branches run on all four lanes
-/// and a blend keeps each lane's own. Arrays of tanh go through the
-/// split-branch pass in avx2.cpp instead, which runs the exp branch only
-/// on the lanes that take it; this form serves the affine kernels'
-/// s = cap · tanh(h).
-inline __m256d ktanh4(__m256d x) {
-    const __m256d ax = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
-    const __m256d bigmask = ktanh4_bigmask(ax);
-    const int mm = _mm256_movemask_pd(bigmask);
-
-    __m256d num, den;
-    if (mm == 0xF) {
-        ktanh4_big(ax, &num, &den);
-    } else if (mm == 0) {
-        ktanh4_small(ax, &num, &den);
-    } else {
-        __m256d bnum, bden, snum, sden;
-        ktanh4_big(ax, &bnum, &bden);
-        ktanh4_small(ax, &snum, &sden);
-        num = _mm256_blendv_pd(snum, bnum, bigmask);
-        den = _mm256_blendv_pd(sden, bden, bigmask);
-    }
-    return ktanh4_finish(x, ax, num, den);
 }
 
 /// Lane-wise k_sigmoid: 1/(1 + kexp4(−x)); negation is the same sign-bit

@@ -1,6 +1,7 @@
 // Runtime dispatch for the kernel layer: resolves the active flavour from
-// set_choice() / the NOFIS_KERNELS environment variable, and splices the
-// AVX2 backend (when the CPU has it) over the portable vectorized table. The public kernel entry points in kernels.hpp forward
+// set_choice() / the NOFIS_KERNELS environment variable, with `simd`
+// resolving to the AVX2 table when the CPU has it and to the portable
+// table otherwise. The public kernel entry points in kernels.hpp forward
 // through the active table.
 
 #include <atomic>
@@ -15,41 +16,16 @@ namespace detail {
 
 namespace {
 
-/// Copies every non-null slot of `overlay` over `base`.
-Table splice(Table base, const Table* overlay) {
-    if (!overlay) return base;
-    if (overlay->matmul_rows) base.matmul_rows = overlay->matmul_rows;
-    if (overlay->linear_act_rows)
-        base.linear_act_rows = overlay->linear_act_rows;
-    if (overlay->affine_fwd_rows)
-        base.affine_fwd_rows = overlay->affine_fwd_rows;
-    if (overlay->affine_inv_rows)
-        base.affine_inv_rows = overlay->affine_inv_rows;
-    if (overlay->scale_shift_rows)
-        base.scale_shift_rows = overlay->scale_shift_rows;
-    if (overlay->rqs_fwd_rows) base.rqs_fwd_rows = overlay->rqs_fwd_rows;
-    if (overlay->rqs_inv_rows) base.rqs_inv_rows = overlay->rqs_inv_rows;
-    if (overlay->rqs_bwd_rows) base.rqs_bwd_rows = overlay->rqs_bwd_rows;
-    if (overlay->ew_add) base.ew_add = overlay->ew_add;
-    if (overlay->ew_sub) base.ew_sub = overlay->ew_sub;
-    if (overlay->ew_mul) base.ew_mul = overlay->ew_mul;
-    if (overlay->ew_scale) base.ew_scale = overlay->ew_scale;
-    if (overlay->ew_tanh) base.ew_tanh = overlay->ew_tanh;
-    if (overlay->ew_exp) base.ew_exp = overlay->ew_exp;
-    if (overlay->ew_tanh_bwd) base.ew_tanh_bwd = overlay->ew_tanh_bwd;
-    return base;
-}
-
 struct SimdResolution {
-    Table table;
+    const Table* table;
     const char* backend;
 };
 
 const SimdResolution& simd_resolution() {
     static const SimdResolution r = [] {
         if (const Table* avx2 = avx2_table())
-            return SimdResolution{splice(portable_table(), avx2), "avx2"};
-        return SimdResolution{portable_table(), "portable"};
+            return SimdResolution{avx2, "avx2"};
+        return SimdResolution{&portable_table(), "portable"};
     }();
     return r;
 }
@@ -66,7 +42,7 @@ std::atomic<const Table*>& active_table_slot() {
     // First use resolves NOFIS_KERNELS; set_choice overrides afterwards.
     static std::atomic<const Table*> slot{
         env_choice() == Choice::kScalar ? &scalar_table()
-                                        : &simd_resolution().table};
+                                        : simd_resolution().table};
     return slot;
 }
 
@@ -76,7 +52,7 @@ const Table& active_table() noexcept {
 
 }  // namespace
 
-const Table& simd_table() { return simd_resolution().table; }
+const Table& simd_table() { return *simd_resolution().table; }
 
 }  // namespace detail
 

@@ -25,10 +25,12 @@ namespace nofis::linalg::kernels {
 /// and accumulation order is IDENTICAL across flavours and SIMD backends —
 /// vectorization only widens the independent output lanes, never
 /// reassociates a reduction. Which elements share a vector is free: the
-/// AVX2 dense layer tiles four rows by eight columns, and its tanh packs
-/// the lanes that take the exp branch into vectors of their own, because
-/// each element still runs its own unchanged sequence. No FMA contraction
-/// is permitted
+/// AVX2 dense layer tiles four rows by eight columns, its one tanh packs
+/// the lanes that take the exp branch into vectors of their own, and the
+/// affine coupling runs that tanh over a buffer of s-values gathered
+/// across rows, because each element still runs its own unchanged
+/// sequence. Where a backend has nothing to vectorize it points its slot
+/// at the scalar kernel itself. No FMA contraction is permitted
 /// (`-ffp-contract=off` on the kernel translation units, and no TU is
 /// built with -mfma). tanh/exp/sigmoid do NOT call libm: the kernel layer
 /// owns deterministic Cephes-style ports (scalar_math.hpp) whose AVX2
@@ -122,10 +124,10 @@ void scale_shift_rows(const double* x, const double* scale,
 // to a spline on [-tail_bound, tail_bound] with identity tails. `h` rows
 // are laid out as nb consecutive param groups of size 3·num_bins+1.
 //
-// These kernels currently ship only the scalar reference implementation:
-// the `simd` table points at the very same function (an explicit,
-// documented fallback), so the scalar ≡ simd bitwise contract holds
-// trivially. Unlike the affine kernels they may call libm log/sqrt/log1p —
+// These kernels ship only the scalar reference implementation: every
+// backend table points at the very same function, so the scalar ≡ simd
+// bitwise contract holds trivially. Unlike the affine kernels they may
+// call libm log/sqrt/log1p —
 // safe precisely because no independently-rounded vector variant exists;
 // a future vectorized flavour must port those first (see scalar_math.hpp).
 

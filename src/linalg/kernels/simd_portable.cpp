@@ -117,47 +117,6 @@ void linear_act_rows_portable(const double* x, const double* w,
     }
 }
 
-// The affine transform is dominated by tanh/exp; the deterministic k_*
-// ports keep those calls bitwise-equal to the scalar reference (and to the
-// vectorized AVX2 variant), while the fusion removes the s/t temporaries.
-void affine_fwd_rows_portable(const double* x, const double* h,
-                              const std::size_t* idx_b, std::size_t nb,
-                              double scale_cap, std::size_t dim, double* y,
-                              double* log_det, std::size_t r0,
-                              std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-        const double* h_row = h + r * (2 * nb);
-        double ld = 0.0;
-        for (std::size_t j = 0; j < nb; ++j) {
-            const double s = scale_cap * k_tanh(h_row[j]);
-            const double t = h_row[j + nb];
-            const std::size_t c = idx_b[j];
-            y[r * dim + c] = x[r * dim + c] * k_exp(s) + t;
-            ld += s;
-        }
-        log_det[r] += ld;
-    }
-}
-
-void affine_inv_rows_portable(const double* y, const double* h,
-                              const std::size_t* idx_b, std::size_t nb,
-                              double scale_cap, std::size_t dim, double* x,
-                              double* log_det, std::size_t r0,
-                              std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-        const double* h_row = h + r * (2 * nb);
-        double ld = 0.0;
-        for (std::size_t j = 0; j < nb; ++j) {
-            const double s = scale_cap * k_tanh(h_row[j]);
-            const double t = h_row[j + nb];
-            const std::size_t c = idx_b[j];
-            x[r * dim + c] = (y[r * dim + c] - t) * k_exp(-s);
-            ld += s;
-        }
-        log_det[r] += ld;
-    }
-}
-
 void scale_shift_rows_portable(const double* x, const double* scale,
                                const double* shift, double* y,
                                std::size_t dim, std::size_t r0,
@@ -195,14 +154,6 @@ void ew_scale_portable(const double* a, double s, double* out,
     for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * s;
 }
 
-void ew_tanh_portable(const double* a, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = k_tanh(a[i]);
-}
-
-void ew_exp_portable(const double* a, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = k_exp(a[i]);
-}
-
 void ew_tanh_bwd_portable(const double* y, const double* g, double* out,
                           std::size_t n) {
 #pragma omp simd
@@ -216,24 +167,23 @@ const Table& portable_table() {
         Table tab;
         tab.matmul_rows = matmul_rows_portable;
         tab.linear_act_rows = linear_act_rows_portable;
-        tab.affine_fwd_rows = affine_fwd_rows_portable;
-        tab.affine_inv_rows = affine_inv_rows_portable;
         tab.scale_shift_rows = scale_shift_rows_portable;
-        // The RQS spline kernels have no vectorized flavour yet: the data
-        // layout is a per-element O(K) scan with two libm logs, so the simd
-        // table deliberately reuses the scalar reference — the bitwise
-        // scalar ≡ simd contract then holds with zero risk. Revisit if the
-        // spline path ever shows up in profiles (kernels.hpp note).
-        tab.rqs_fwd_rows = scalar_table().rqs_fwd_rows;
-        tab.rqs_inv_rows = scalar_table().rqs_inv_rows;
-        tab.rqs_bwd_rows = scalar_table().rqs_bwd_rows;
         tab.ew_add = ew_add_portable;
         tab.ew_sub = ew_sub_portable;
         tab.ew_mul = ew_mul_portable;
         tab.ew_scale = ew_scale_portable;
-        tab.ew_tanh = ew_tanh_portable;
-        tab.ew_exp = ew_exp_portable;
         tab.ew_tanh_bwd = ew_tanh_bwd_portable;
+        // The scalar loops, not copies of them: each element is one
+        // k_tanh/k_exp call (and the splines an O(K) scan with libm logs),
+        // which leaves a portable loop nothing to vectorize (kernels.hpp).
+        const Table& scalar = scalar_table();
+        tab.affine_fwd_rows = scalar.affine_fwd_rows;
+        tab.affine_inv_rows = scalar.affine_inv_rows;
+        tab.rqs_fwd_rows = scalar.rqs_fwd_rows;
+        tab.rqs_inv_rows = scalar.rqs_inv_rows;
+        tab.rqs_bwd_rows = scalar.rqs_bwd_rows;
+        tab.ew_tanh = scalar.ew_tanh;
+        tab.ew_exp = scalar.ew_exp;
         return tab;
     }();
     return t;

@@ -48,19 +48,21 @@ struct Table {
                         std::size_t) = nullptr;
 };
 
-/// Serial reference kernels — every slot non-null.
+// Every table fills every slot. A backend points a slot at the scalar
+// kernel where it has nothing to vectorize rather than leave it null.
+
+/// Serial reference kernels.
 const Table& scalar_table();
 
-/// Portable vectorized kernels — every slot non-null.
+/// Portable vectorized kernels: the simd flavour on CPUs without AVX2.
 const Table& portable_table();
 
 /// Intrinsic AVX2 backend: non-null only when compiled for x86-64 AND the
-/// CPU supports AVX2 at runtime. The returned table may leave slots null;
-/// dispatch falls back to the portable table per slot.
+/// CPU supports AVX2 at runtime.
 const Table* avx2_table();
 
-/// The table the `simd` choice resolves to on this machine (portable with
-/// any available intrinsic slots spliced in), plus its backend name.
+/// The table the `simd` choice resolves to on this machine: the AVX2 table
+/// when there is one, else the portable table.
 const Table& simd_table();
 
 }  // namespace nofis::linalg::kernels::detail

@@ -48,8 +48,11 @@ std::size_t route_worker(std::string_view model,
 
 /// One accepted connection: a reader thread that decodes lines and submits
 /// them, and a writer thread that emits responses in request order. The fd
-/// stays allocated until server teardown (shutdown() only half-closes), so
-/// a racing teardown can never close a recycled descriptor.
+/// is closed in one of two places, both under conn_mutex_ and each dropping
+/// the connection from connections_: the accept loop, once the writer has
+/// finished (release_finished_connections), or server teardown, which only
+/// half-closes until its threads are joined. So teardown never touches a
+/// closed or recycled descriptor.
 struct Server::Connection {
     int fd = -1;
     std::thread reader;
@@ -122,6 +125,10 @@ void Server::accept_loop() {
             if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
                 err == ENOMEM) {
                 telemetry::count("serve.accept_backoff");
+                {
+                    const std::lock_guard<std::mutex> lock(conn_mutex_);
+                    release_finished_connections();
+                }
                 std::this_thread::sleep_for(std::chrono::milliseconds(10));
                 continue;
             }
@@ -132,11 +139,27 @@ void Server::accept_loop() {
         telemetry::count("serve.connections");
 
         const std::lock_guard<std::mutex> lock(conn_mutex_);
+        release_finished_connections();
         connections_.push_back(std::make_unique<Connection>());
         Connection& conn = *connections_.back();
         conn.fd = fd;
         serve_connection(conn);
     }
+}
+
+void Server::release_finished_connections() {
+    // The writer finishes last (after the reader's read_done), so both
+    // threads have ended or are about to and the joins do not wait.
+    connections_.remove_if([](const std::unique_ptr<Connection>& conn) {
+        {
+            const std::lock_guard<std::mutex> lock(conn->mutex);
+            if (!conn->write_done) return false;
+        }
+        conn->reader.join();
+        conn->writer.join();
+        ::close(conn->fd);
+        return true;
+    });
 }
 
 void Server::serve_connection(Connection& conn) {

@@ -76,6 +76,10 @@ private:
 
     void accept_loop();
     void serve_connection(Connection& conn);
+    /// Joins and closes every connection whose writer has finished, so
+    /// closed connections do not hold descriptors for the server's life.
+    /// Caller holds conn_mutex_.
+    void release_finished_connections();
 
     ServerConfig cfg_;
     ModelRegistry registry_;

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -192,11 +193,9 @@ std::string Json::encode() const {
 // Json — parsing
 // ---------------------------------------------------------------------------
 
-namespace {
-
-class Parser {
+class JsonParser {
 public:
-    explicit Parser(std::string_view text) : text_(text) {}
+    explicit JsonParser(std::string_view text) : text_(text) {}
 
     Json parse_document() {
         skip_ws();
@@ -240,8 +239,14 @@ private:
     Json parse_value() {
         skip_ws();
         const char c = peek();
-        if (c == '{') return parse_object();
-        if (c == '[') return parse_array();
+        if (c == '{' || c == '[') {
+            if (++depth_ > Json::kMaxDepth)
+                fail("nesting deeper than " +
+                     std::to_string(Json::kMaxDepth) + " levels");
+            Json v = c == '{' ? parse_object() : parse_array();
+            --depth_;
+            return v;
+        }
         if (c == '"') return Json::string(parse_string());
         if (c == 't') {
             if (!consume_literal("true")) fail("bad literal");
@@ -271,7 +276,7 @@ private:
             std::string key = parse_string();
             skip_ws();
             expect(':');
-            obj.set(key, parse_value());
+            obj.members_.emplace_back(std::move(key), parse_value());
             skip_ws();
             if (pos_ >= text_.size()) fail("unterminated object");
             if (text_[pos_] == ',') {
@@ -279,8 +284,21 @@ private:
                 continue;
             }
             expect('}');
+            reject_duplicate_keys(obj);
             return obj;
         }
+    }
+
+    /// Sorting the keys finds a repeat in O(n log n); members are appended
+    /// unchecked while parsing, so an object costs no per-key scan.
+    void reject_duplicate_keys(const Json& obj) const {
+        if (obj.members_.size() < 2) return;
+        std::vector<std::string_view> keys;
+        keys.reserve(obj.members_.size());
+        for (const auto& member : obj.members_) keys.push_back(member.first);
+        std::sort(keys.begin(), keys.end());
+        if (std::adjacent_find(keys.begin(), keys.end()) != keys.end())
+            fail("duplicate object key");
     }
 
     Json parse_array() {
@@ -391,10 +409,11 @@ private:
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
-}  // namespace
-
-Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+Json Json::parse(std::string_view text) {
+    return JsonParser(text).parse_document();
+}
 
 }  // namespace nofis::util

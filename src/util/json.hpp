@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -61,12 +62,21 @@ public:
     std::string encode() const;
     void encode_to(std::string& out) const;
 
+    /// Deepest array/object nesting parse() accepts. The deepest document
+    /// the repo writes, a full `run` metrics record, nests 10 levels; the
+    /// bound keeps a hostile line from recursing the parser off its stack.
+    static constexpr std::size_t kMaxDepth = 256;
+
     /// Parses exactly one JSON document from `text` (leading/trailing
     /// whitespace allowed). Throws std::runtime_error with a position
-    /// diagnostic on malformed input.
+    /// diagnostic on malformed input, on nesting deeper than kMaxDepth and
+    /// on an object that repeats a key (RFC 8259 leaves their meaning open,
+    /// and the encoder never writes one).
     static Json parse(std::string_view text);
 
 private:
+    friend class JsonParser;
+
     Type type_ = Type::kNull;
     bool bool_ = false;
     double num_ = 0.0;

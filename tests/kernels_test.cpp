@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -197,7 +198,7 @@ TEST(EmptyMatrix, NonEmptyMinMaxUnchanged) {
 // reference, shape sweep including degenerate and poisoned inputs.
 // ---------------------------------------------------------------------------
 
-/// Every non-null backend table paired with a label for failure messages.
+/// Every backend table paired with a label for failure messages.
 std::vector<std::pair<const detail::Table*, const char*>> backend_tables() {
     std::vector<std::pair<const detail::Table*, const char*>> tables;
     tables.emplace_back(&detail::portable_table(), "portable");
@@ -210,7 +211,6 @@ std::vector<std::pair<const detail::Table*, const char*>> backend_tables() {
 TEST(KernelProperty, MatmulRowsBitwiseMatchesScalar) {
     const detail::Table& ref = detail::scalar_table();
     for (const auto& [table, name] : backend_tables()) {
-        if (!table->matmul_rows) continue;
         for (const Shape& s : kShapes) {
             for (bool poison : {false, true}) {
                 const Matrix lhs = filled(s.m, s.k, 7 * s.m + s.n, poison);
@@ -233,7 +233,6 @@ TEST(KernelProperty, LinearActRowsBitwiseMatchesScalar) {
     const detail::Table& ref = detail::scalar_table();
     using kernels::Act;
     for (const auto& [table, name] : backend_tables()) {
-        if (!table->linear_act_rows) continue;
         for (const Shape& s : kShapes) {
             for (Act act : {Act::kNone, Act::kTanh, Act::kRelu,
                             Act::kLeakyRelu, Act::kSigmoid}) {
@@ -254,53 +253,75 @@ TEST(KernelProperty, LinearActRowsBitwiseMatchesScalar) {
     }
 }
 
+/// Applies one affine direction of `table` to rows [0, rows) in `parts`
+/// contiguous sub-ranges, split as parallel_for splits over `parts` lanes.
+void affine_in_parts(const detail::Table& table, bool inverse,
+                     const Matrix& in, const Matrix& h,
+                     const std::vector<std::size_t>& idx_b, double scale_cap,
+                     Matrix& out, std::vector<double>& log_det,
+                     std::size_t parts) {
+    const std::size_t rows = in.rows();
+    const auto kernel = inverse ? table.affine_inv_rows : table.affine_fwd_rows;
+    for (std::size_t p = 0; p < parts; ++p) {
+        const std::size_t r0 = p * rows / parts;
+        const std::size_t r1 = (p + 1) * rows / parts;
+        if (r0 < r1)
+            kernel(in.data(), h.data(), idx_b.data(), idx_b.size(), scale_cap,
+                   in.cols(), out.data(), log_det.data(), r0, r1);
+    }
+}
+
+/// Log-det rows starting at 0.25 and −0.0 in turn: a kernel that skips
+/// the scalar's `+= 0.0` on an empty row would leave −0.0 behind.
+std::vector<double> log_det_start(std::size_t rows) {
+    std::vector<double> ld(rows);
+    for (std::size_t r = 0; r < rows; ++r) ld[r] = r % 2 ? -0.0 : 0.25;
+    return ld;
+}
+
 TEST(KernelProperty, AffineKernelsBitwiseMatchScalar) {
+    // Widths from nb = 0 to past one 256-value tanh buffer, row counts
+    // whose s-values end mid-buffer or split a row across two buffers, and
+    // the sub-ranges parallel_for hands the kernels (r0 > 0). h spans
+    // U(−1.5, 1.5), so tanh mixes its branches, and x and h are poisoned.
     const detail::Table& ref = detail::scalar_table();
-    for (const auto& [table, name] : backend_tables()) {
-        for (std::size_t dim : {2ul, 3ul, 5ul, 9ul}) {
-            const std::size_t nb = dim / 2;
-            std::vector<std::size_t> idx_b;
-            for (std::size_t j = 0; j < nb; ++j) idx_b.push_back(dim - 1 - j);
-            for (std::size_t rows : {0ul, 1ul, 4ul, 11ul}) {
-                const Matrix x = filled(rows, dim, rows + dim, true);
-                const Matrix h = filled(rows, 2 * nb, 5 * rows + 1, true);
-                Matrix want = x, got = x;
-                std::vector<double> ld_want(rows, 0.25), ld_got(rows, 0.25);
-                if (table->affine_fwd_rows) {
-                    ref.affine_fwd_rows(x.data(), h.data(), idx_b.data(), nb,
-                                        1.5, dim, want.data(), ld_want.data(),
-                                        0, rows);
-                    table->affine_fwd_rows(x.data(), h.data(), idx_b.data(),
-                                           nb, 1.5, dim, got.data(),
-                                           ld_got.data(), 0, rows);
-                    EXPECT_TRUE(bitwise_equal(want, got)) << name << dim;
-                    EXPECT_TRUE(bitwise_equal(ld_want, ld_got)) << name << dim;
+    for (std::size_t nb : {0ul, 1ul, 3ul, 4ul, 5ul, 13ul, 20ul, 31ul, 257ul}) {
+        const std::size_t dim = std::max<std::size_t>(1, 2 * nb + nb % 2);
+        std::vector<std::size_t> idx_b;
+        for (std::size_t j = 0; j < nb; ++j) idx_b.push_back(dim - 1 - 2 * j);
+        for (std::size_t rows :
+             {0ul, 1ul, 3ul, 4ul, 5ul, 255ul, 257ul, 1000ul}) {
+            const Matrix x = filled(rows, dim, 7 * rows + nb, true);
+            const Matrix h = filled(rows, 2 * nb, 5 * rows + nb, true, 1.5);
+            for (bool inverse : {false, true}) {
+                Matrix want = x;
+                std::vector<double> ld_want = log_det_start(rows);
+                affine_in_parts(ref, inverse, x, h, idx_b, 1.5, want, ld_want,
+                                1);
+                for (const auto& [table, name] : backend_tables()) {
+                    for (std::size_t parts : {1ul, 3ul, 8ul}) {
+                        Matrix got = x;
+                        std::vector<double> ld_got = log_det_start(rows);
+                        affine_in_parts(*table, inverse, x, h, idx_b, 1.5,
+                                        got, ld_got, parts);
+                        EXPECT_TRUE(bitwise_equal(want, got) &&
+                                    bitwise_equal(ld_want, ld_got))
+                            << name << (inverse ? " inverse" : " forward")
+                            << " nb=" << nb << " rows=" << rows
+                            << " parts=" << parts;
+                    }
                 }
-                if (table->affine_inv_rows) {
-                    want = x;
-                    got = x;
-                    std::fill(ld_want.begin(), ld_want.end(), 0.0);
-                    std::fill(ld_got.begin(), ld_got.end(), 0.0);
-                    ref.affine_inv_rows(x.data(), h.data(), idx_b.data(), nb,
-                                        1.5, dim, want.data(), ld_want.data(),
-                                        0, rows);
-                    table->affine_inv_rows(x.data(), h.data(), idx_b.data(),
-                                           nb, 1.5, dim, got.data(),
-                                           ld_got.data(), 0, rows);
-                    EXPECT_TRUE(bitwise_equal(want, got)) << name << dim;
-                    EXPECT_TRUE(bitwise_equal(ld_want, ld_got)) << name << dim;
-                }
-                if (table->scale_shift_rows) {
-                    const Matrix scale = filled(1, dim, 2 * dim);
-                    const Matrix shift = filled(1, dim, 2 * dim + 1);
-                    Matrix w2(rows, dim), g2(rows, dim);
-                    ref.scale_shift_rows(x.data(), scale.data(), shift.data(),
-                                         w2.data(), dim, 0, rows);
-                    table->scale_shift_rows(x.data(), scale.data(),
-                                            shift.data(), g2.data(), dim, 0,
-                                            rows);
-                    EXPECT_TRUE(bitwise_equal(w2, g2)) << name << dim;
-                }
+            }
+            const Matrix scale = filled(1, dim, 2 * dim);
+            const Matrix shift = filled(1, dim, 2 * dim + 1);
+            Matrix want(rows, dim);
+            ref.scale_shift_rows(x.data(), scale.data(), shift.data(),
+                                 want.data(), dim, 0, rows);
+            for (const auto& [table, name] : backend_tables()) {
+                Matrix got(rows, dim);
+                table->scale_shift_rows(x.data(), scale.data(), shift.data(),
+                                        got.data(), dim, 0, rows);
+                EXPECT_TRUE(bitwise_equal(want, got)) << name << " " << dim;
             }
         }
     }
@@ -317,43 +338,29 @@ TEST(KernelProperty, ElementwiseBitwiseMatchesScalar) {
                 EXPECT_TRUE(bitwise_equal(want, got))
                     << name << " " << op << " n=" << n;
             };
-            if (table->ew_add) {
-                ref.ew_add(a.data(), b.data(), want.data(), n);
-                table->ew_add(a.data(), b.data(), got.data(), n);
-                check("add");
-            }
-            if (table->ew_sub) {
-                ref.ew_sub(a.data(), b.data(), want.data(), n);
-                table->ew_sub(a.data(), b.data(), got.data(), n);
-                check("sub");
-            }
-            if (table->ew_mul) {
-                ref.ew_mul(a.data(), b.data(), want.data(), n);
-                table->ew_mul(a.data(), b.data(), got.data(), n);
-                check("mul");
-            }
-            if (table->ew_scale) {
-                ref.ew_scale(a.data(), -1.75, want.data(), n);
-                table->ew_scale(a.data(), -1.75, got.data(), n);
-                check("scale");
-            }
-            if (table->ew_tanh) {
-                ref.ew_tanh(a.data(), want.data(), n);
-                table->ew_tanh(a.data(), got.data(), n);
-                check("tanh");
-            }
-            if (table->ew_exp) {
-                ref.ew_exp(a.data(), want.data(), n);
-                table->ew_exp(a.data(), got.data(), n);
-                check("exp");
-            }
-            if (table->ew_tanh_bwd) {
-                ref.ew_tanh_bwd(a.data(), b.data(), want.data(), n);
-                table->ew_tanh_bwd(a.data(), b.data(), got.data(), n);
-                check("tanh_bwd");
-            }
+            ref.ew_add(a.data(), b.data(), want.data(), n);
+            table->ew_add(a.data(), b.data(), got.data(), n);
+            check("add");
+            ref.ew_sub(a.data(), b.data(), want.data(), n);
+            table->ew_sub(a.data(), b.data(), got.data(), n);
+            check("sub");
+            ref.ew_mul(a.data(), b.data(), want.data(), n);
+            table->ew_mul(a.data(), b.data(), got.data(), n);
+            check("mul");
+            ref.ew_scale(a.data(), -1.75, want.data(), n);
+            table->ew_scale(a.data(), -1.75, got.data(), n);
+            check("scale");
+            ref.ew_tanh(a.data(), want.data(), n);
+            table->ew_tanh(a.data(), got.data(), n);
+            check("tanh");
+            ref.ew_exp(a.data(), want.data(), n);
+            table->ew_exp(a.data(), got.data(), n);
+            check("exp");
+            ref.ew_tanh_bwd(a.data(), b.data(), want.data(), n);
+            table->ew_tanh_bwd(a.data(), b.data(), got.data(), n);
+            check("tanh_bwd");
             // In-place aliasing (out == a), used by Matrix::operator+=.
-            if (table->ew_add && n > 0) {
+            if (n > 0) {
                 Matrix wa = a, ga = a;
                 ref.ew_add(wa.data(), b.data(), wa.data(), n);
                 table->ew_add(ga.data(), b.data(), ga.data(), n);
@@ -413,7 +420,6 @@ TEST(KernelProperty, TanhEveryLaneMaskMatchesScalar) {
     const detail::Table& ref = detail::scalar_table();
     std::mt19937_64 gen(2026);
     for (const auto& [table, name] : backend_tables()) {
-        if (!table->ew_tanh) continue;
         for (std::size_t n :
              {0ul, 1ul, 3ul, 4ul, 5ul, 255ul, 256ul, 257ul, 770ul}) {
             for (std::size_t offset = 0; offset < 4; ++offset) {
@@ -452,7 +458,6 @@ TEST(KernelProperty, LinearActRowsEveryTileAndTail) {
     const detail::Table& ref = detail::scalar_table();
     using kernels::Act;
     for (const auto& [table, name] : backend_tables()) {
-        if (!table->linear_act_rows) continue;
         for (std::size_t rows : {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul,
                                  17ul}) {
             for (std::size_t in : {1ul, 3ul, 13ul, 32ul}) {
@@ -621,6 +626,36 @@ TEST(KernelDispatch, SetChoiceRoundTripsAndAutoResolvesToSimd) {
     EXPECT_STREQ(kernels::choice_name(), "simd");
 }
 
+TEST(KernelDispatch, EveryTableIsComplete) {
+    std::vector<std::pair<const detail::Table*, const char*>> tables =
+        backend_tables();
+    tables.emplace_back(&detail::scalar_table(), "scalar");
+    for (const auto& [t, name] : tables) {
+        const std::pair<bool, const char*> slots[] = {
+            {t->matmul_rows != nullptr, "matmul_rows"},
+            {t->linear_act_rows != nullptr, "linear_act_rows"},
+            {t->affine_fwd_rows != nullptr, "affine_fwd_rows"},
+            {t->affine_inv_rows != nullptr, "affine_inv_rows"},
+            {t->scale_shift_rows != nullptr, "scale_shift_rows"},
+            {t->rqs_fwd_rows != nullptr, "rqs_fwd_rows"},
+            {t->rqs_inv_rows != nullptr, "rqs_inv_rows"},
+            {t->rqs_bwd_rows != nullptr, "rqs_bwd_rows"},
+            {t->ew_add != nullptr, "ew_add"},
+            {t->ew_sub != nullptr, "ew_sub"},
+            {t->ew_mul != nullptr, "ew_mul"},
+            {t->ew_scale != nullptr, "ew_scale"},
+            {t->ew_tanh != nullptr, "ew_tanh"},
+            {t->ew_exp != nullptr, "ew_exp"},
+            {t->ew_tanh_bwd != nullptr, "ew_tanh_bwd"}};
+        for (const auto& [set, slot] : slots)
+            EXPECT_TRUE(set) << name << " leaves " << slot << " null";
+    }
+    // simd resolves to one backend's table whole, never a mix of two.
+    const detail::Table* simd = &detail::simd_table();
+    EXPECT_TRUE(simd == detail::avx2_table() ||
+                simd == &detail::portable_table());
+}
+
 TEST(KernelDispatch, BackendNameIsKnown) {
     const std::string backend = kernels::simd_backend();
     EXPECT_TRUE(backend == "avx2" || backend == "portable") << backend;
@@ -759,6 +794,61 @@ TEST(KernelMath, TanhBitsArePinned) {
                                kRows, kIn, kOut, kernels::Act::kTanh);
         EXPECT_EQ(bits_hash(h.data(), h.size()), 0x8a04f479dec6923cULL)
             << name;
+    }
+}
+
+TEST(KernelMath, AffineBitsArePinned) {
+    // Golden hashes of both affine directions' outputs and log-dets, taken
+    // from the reference kernels before the AVX2 affine path moved to the
+    // split tanh. Shapes: nb = 1 (Leaf), 13 (YBranch), 20 (Powell) and one
+    // row wider than a 256-value tanh buffer; h holds ±inf, a NaN, signed
+    // zeros and the branch point among its exact uniforms.
+    struct Case {
+        std::size_t rows, nb;
+    };
+    const Case cases[] = {{41, 1}, {70, 13}, {13, 20}, {2, 300}};
+    const double specials[] = {kInf,
+                               -kInf,
+                               from_bits(0x7ff8000000000123ULL),
+                               0.625,
+                               -0.625,
+                               std::nextafter(0.625, 0.0),
+                               0.0,
+                               -0.0,
+                               40.0,
+                               -19.1};
+    std::vector<std::pair<const detail::Table*, const char*>> tables =
+        backend_tables();
+    tables.emplace_back(&detail::scalar_table(), "scalar");
+    for (const auto& [table, name] : tables) {
+        std::uint64_t fwd = util::kFnv1aBasis, inv = util::kFnv1aBasis;
+        for (std::uint64_t c = 0; c < std::size(cases); ++c) {
+            const std::size_t rows = cases[c].rows, nb = cases[c].nb;
+            const std::size_t dim = 2 * nb;
+            std::vector<std::size_t> idx_b;
+            for (std::size_t j = 0; j < nb; ++j)
+                idx_b.push_back(dim - 1 - 2 * j);
+            Matrix x(rows, dim), h(rows, 2 * nb);
+            for (std::size_t i = 0; i < x.size(); ++i)
+                x.flat()[i] = exact_uniform(61 + c, i, 4.0);
+            for (std::size_t i = 0; i < h.size(); ++i)
+                h.flat()[i] = exact_uniform(51 + c, i, 2.0);
+            for (std::size_t k = 0; k < std::size(specials); ++k)
+                h.flat()[(7 * k + c) % h.size()] = specials[k];
+            for (bool inverse : {false, true}) {
+                Matrix out = x;
+                std::vector<double> ld = log_det_start(rows);
+                affine_in_parts(*table, inverse, x, h, idx_b, 1.5, out, ld,
+                                1);
+                std::uint64_t& hash = inverse ? inv : fwd;
+                hash = util::fnv1a64(out.data(), out.size() * sizeof(double),
+                                     hash);
+                hash = util::fnv1a64(ld.data(), ld.size() * sizeof(double),
+                                     hash);
+            }
+        }
+        EXPECT_EQ(fwd, 0xa031bc1e44ee878cULL) << name;
+        EXPECT_EQ(inv, 0x9e1e3cdb0852fe7fULL) << name;
     }
 }
 

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -158,6 +159,54 @@ TEST(ServeProtocol, JsonRoundTripsSeedsExactly) {
     const auto parsed = serve::Json::parse(doc.encode());
     EXPECT_EQ(parsed.find("seed")->as_u64(), big);
     EXPECT_EQ(parsed.find("x")->as_double(), 0.1);
+}
+
+TEST(ServeProtocol, JsonNestingIsBounded) {
+    const std::size_t max = serve::Json::kMaxDepth;
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(serve::Json::parse(nested(max)));
+    EXPECT_THROW(serve::Json::parse(nested(max + 1)), std::runtime_error);
+    // Deep enough to overflow the stack of a parser that recurses without
+    // a bound: both forms must come back as parse errors.
+    EXPECT_THROW(serve::Json::parse(std::string(100000, '[')),
+                 std::runtime_error);
+    std::string objects;
+    for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+    EXPECT_THROW(serve::Json::parse(objects + "1"), std::runtime_error);
+}
+
+TEST(ServeProtocol, JsonObjectsParseInLinearTime) {
+    std::string text = "{";
+    for (int i = 0; i < 100000; ++i)
+        text += (i ? ",\"k" : "\"k") + std::to_string(i) + "\":" +
+                std::to_string(i);
+    text += "}";
+    const auto start = std::chrono::steady_clock::now();
+    const serve::Json doc = serve::Json::parse(text);
+    // Linear parsing takes well under a second even sanitized; a per-key
+    // scan of the earlier keys takes tens of seconds at this size.
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    ASSERT_NE(doc.find("k99999"), nullptr);
+    EXPECT_EQ(doc.find("k99999")->as_u64(), 99999u);
+    EXPECT_EQ(doc.encode(), text);
+}
+
+TEST(ServeProtocol, JsonDuplicateKeysAreRejected) {
+    EXPECT_THROW(serve::Json::parse(R"({"a":1,"a":2})"), std::runtime_error);
+    EXPECT_THROW(serve::Json::parse(R"({"a":1,"b":2,"c":3,"b":4})"),
+                 std::runtime_error);
+    EXPECT_THROW(serve::Json::parse(R"([{"x":{"y":0,"y":0}}])"),
+                 std::runtime_error);
+    EXPECT_NO_THROW(serve::Json::parse(R"({"a":{"a":1},"b":[{"a":2}]})"));
+    try {
+        Request::decode(R"({"op":"sample","model":"toy3","op":"ping"})");
+        FAIL() << "duplicate key decoded";
+    } catch (const serve::ServeError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+    }
 }
 
 TEST(ServeProtocol, RequestDecodeValidates) {
@@ -800,6 +849,58 @@ TEST_F(ServeFixture, OverlongLineIsABadRequestAndTheServerKeepsServing) {
     ping.op = Op::kPing;
     ping.id = 5;
     EXPECT_TRUE(fresh.call(ping).ok);
+    server.shutdown();
+}
+
+TEST_F(ServeFixture, DeeplyNestedLineIsABadRequestAndTheServerKeepsServing) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    serve::Server server(cfg);
+    {
+        serve::TcpClient client("127.0.0.1", server.port());
+        const Response res =
+            Response::decode(client.call_raw(std::string(100000, '[')));
+        EXPECT_FALSE(res.ok);
+        EXPECT_EQ(res.error_code, ErrorCode::kBadRequest);
+    }
+    serve::TcpClient fresh("127.0.0.1", server.port());
+    Request ping;
+    ping.op = Op::kPing;
+    ping.id = 6;
+    EXPECT_TRUE(fresh.call(ping).ok);
+    server.shutdown();
+}
+
+/// Open descriptors of this process.
+std::size_t open_fds() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST_F(ServeFixture, ClosedConnectionsReleaseTheirDescriptors) {
+    serve::ServerConfig cfg;
+    cfg.model_dir = dir_;
+    serve::Server server(cfg);
+    const auto ping_once = [&server] {
+        serve::TcpClient client("127.0.0.1", server.port());
+        Request ping;
+        ping.op = Op::kPing;
+        EXPECT_TRUE(client.call(ping).ok);
+    };
+    const std::size_t start = open_fds();
+    for (int i = 0; i < 64; ++i) ping_once();
+    // A connection is released when a later one is accepted after its
+    // writer finished, so the last few may still be open: a few more
+    // connections must bring the count back near the start.
+    const std::size_t slack = 4;
+    for (int i = 0; i < 50 && open_fds() > start + slack; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ping_once();
+    }
+    EXPECT_LE(open_fds(), start + slack);
     server.shutdown();
 }
 
