@@ -3,11 +3,14 @@
 // coupling-layer forward/inverse, full-flow sampling, MNA AC solve, one g()
 // evaluation of each expensive test-case model, and one Y-branch
 // finite-difference gradient. These bound the wall-clock cost of a NOFIS
-// run (MEN forward passes + g calls).
+// run (MEN forward passes + g calls). The text codec benches time what
+// saving, loading and serving a trained flow spend on numbers.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "autodiff/ops.hpp"
@@ -16,12 +19,15 @@
 #include "circuit/opamp.hpp"
 #include "estimators/problem.hpp"
 #include "flow/coupling_stack.hpp"
+#include "flow/serialize.hpp"
+#include "flow/stack_info.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "parallel/thread_pool.hpp"
 #include "photonic/ybranch.hpp"
 #include "rng/normal.hpp"
 #include "testcases/registry.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -296,6 +302,88 @@ void BM_FlowInverseLogProb(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_FlowInverseLogProb);
+
+// A YBranch-shaped proposal (26-D, 5 x 8 affine couplings, hidden 32-32:
+// 94,480 parameters) with every parameter non-zero, as after training.
+flow::CouplingStack ybranch_shaped_stack() {
+    flow::StackConfig cfg;
+    cfg.dim = 26;
+    cfg.num_blocks = 5;
+    cfg.layers_per_block = 8;
+    rng::Engine eng(7);
+    flow::CouplingStack stack(cfg, eng);
+    for (auto& p : stack.params())
+        for (double& v : p.mutable_value().flat())
+            v = 0.1 * rng::standard_normal(eng);
+    return stack;
+}
+
+// `.nofisflow` save and load through a string stream, so the disk stays
+// out: items are parameters.
+void BM_SaveStack(benchmark::State& state) {
+    const auto stack = ybranch_shaped_stack();
+    for (auto _ : state) {
+        std::ostringstream os;
+        flow::save_stack(stack, os);
+        benchmark::DoNotOptimize(os.str().size());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            flow::stack_info(stack).param_values);
+}
+BENCHMARK(BM_SaveStack)->Unit(benchmark::kMillisecond);
+
+void BM_LoadStack(benchmark::State& state) {
+    const auto stack = ybranch_shaped_stack();
+    std::ostringstream os;
+    flow::save_stack(stack, os);
+    const std::string text = os.str();
+    for (auto _ : state) {
+        std::istringstream is(text);
+        benchmark::DoNotOptimize(flow::load_stack(is));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            flow::stack_info(stack).param_values);
+}
+BENCHMARK(BM_LoadStack)->Unit(benchmark::kMillisecond);
+
+// The JSON document of a served 500-row `sample` on a 26-D model, shaped
+// as the scheduler builds it: items are numbers.
+util::Json sample_response_doc() {
+    rng::Engine eng(8);
+    util::Json z = util::Json::array();
+    util::Json log_q = util::Json::array();
+    for (int r = 0; r < 500; ++r) {
+        util::Json row = util::Json::array();
+        for (int c = 0; c < 26; ++c)
+            row.push_back(util::Json::number(rng::standard_normal(eng)));
+        z.push_back(std::move(row));
+        log_q.push_back(util::Json::number(-30.0 * eng.uniform()));
+    }
+    util::Json result = util::Json::object();
+    result.set("n", util::Json::number_u64(500));
+    result.set("z", std::move(z));
+    result.set("log_q", std::move(log_q));
+    util::Json doc = util::Json::object();
+    doc.set("id", util::Json::number_u64(1));
+    doc.set("op", util::Json::string("sample"));
+    doc.set("ok", util::Json::boolean(true));
+    doc.set("result", std::move(result));
+    return doc;
+}
+
+void BM_JsonEncode(benchmark::State& state) {
+    const auto doc = sample_response_doc();
+    for (auto _ : state) benchmark::DoNotOptimize(doc.encode());
+    state.SetItemsProcessed(state.iterations() * 500 * 27);
+}
+BENCHMARK(BM_JsonEncode);
+
+void BM_JsonDecode(benchmark::State& state) {
+    const std::string line = sample_response_doc().encode();
+    for (auto _ : state) benchmark::DoNotOptimize(util::Json::parse(line));
+    state.SetItemsProcessed(state.iterations() * 500 * 27);
+}
+BENCHMARK(BM_JsonDecode);
 
 void BM_OpampGainEval(benchmark::State& state) {
     circuit::OpampModel amp;

@@ -9,7 +9,8 @@ namespace nofis::flow {
 
 /// Text serialisation of a trained coupling stack ("*.nofisflow"): the
 /// StackConfig header followed by every parameter matrix in layer order,
-/// at full double precision. A saved proposal can be reloaded in a later
+/// each value spelled "%.17g" by util::format_double, so it reloads bit
+/// for bit. A saved proposal can be reloaded in a later
 /// process and used for additional importance-sampling draws without
 /// retraining (see NofisEstimator::importance_estimate and the CLI's
 /// train/reuse commands).
@@ -17,7 +18,8 @@ void save_stack(const CouplingStack& stack, std::ostream& os);
 void save_stack(const CouplingStack& stack, const std::string& path);
 
 /// Loads a stack saved by save_stack. Throws std::runtime_error on a
-/// malformed or version-mismatched file.
+/// malformed or version-mismatched file, including a value token that is
+/// not one finite util::parse_double number of at most 32 chars.
 CouplingStack load_stack(std::istream& is);
 CouplingStack load_stack(const std::string& path);
 

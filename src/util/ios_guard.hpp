@@ -5,10 +5,10 @@
 namespace nofis::util {
 
 /// RAII guard for a stream's format state. Anything that needs a specific
-/// precision or set of flags on a caller-provided stream (the flow
-/// serializer's setprecision(17), diagnostics' setprecision(4)) wraps the
-/// write in one of these so the caller's formatting is untouched after the
-/// call — previously those leaked into every subsequent << on the stream.
+/// precision or set of flags on a caller-provided stream (diagnostics'
+/// setprecision(4)) wraps the write in one of these so the caller's
+/// formatting is untouched after the call — previously it leaked into every
+/// subsequent << on the stream.
 class IosStateGuard {
 public:
     explicit IosStateGuard(std::ios_base& stream)

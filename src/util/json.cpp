@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace nofis::util {
 
@@ -140,18 +141,15 @@ void Json::encode_to(std::string& out) const {
             out += bool_ ? "true" : "false";
             break;
         case Type::kNumber: {
+            char buf[kMaxDoubleChars];
             if (is_u64_) {
-                char buf[24];
-                std::snprintf(buf, sizeof(buf), "%llu",
-                              static_cast<unsigned long long>(u64_));
-                out += buf;
+                out.append(buf,
+                           std::to_chars(buf, buf + sizeof(buf), u64_).ptr);
             } else if (!std::isfinite(num_)) {
                 // JSON has no nan/inf tokens: the document must parse.
                 out += "null";
             } else {
-                char buf[32];
-                std::snprintf(buf, sizeof(buf), "%.17g", num_);
-                out += buf;
+                out.append(buf, format_double(num_, buf));
             }
             break;
         }
@@ -377,34 +375,18 @@ private:
 
     Json parse_number() {
         const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-        bool integral = true;
         while (pos_ < text_.size()) {
             const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
+            if (!std::isdigit(static_cast<unsigned char>(c)) && c != '.' &&
+                c != 'e' && c != 'E' && c != '+' && c != '-')
                 break;
-            }
+            ++pos_;
         }
         if (pos_ == start) fail("expected a value");
-        const std::string lexeme(text_.substr(start, pos_ - start));
-        errno = 0;
-        char* end = nullptr;
-        if (integral && lexeme[0] != '-') {
-            const unsigned long long u = std::strtoull(lexeme.c_str(), &end, 10);
-            if (errno == 0 && end == lexeme.c_str() + lexeme.size())
-                return Json::number_u64(u);
-        }
-        errno = 0;
-        const double d = std::strtod(lexeme.c_str(), &end);
-        if (end != lexeme.c_str() + lexeme.size())
-            fail("malformed number '" + lexeme + "'");
-        return Json::number(d);
+        const std::string_view lexeme = text_.substr(start, pos_ - start);
+        if (const auto u = parse_u64(lexeme)) return Json::number_u64(*u);
+        if (const auto d = parse_double(lexeme)) return Json::number(*d);
+        fail("malformed number '" + std::string(lexeme) + "'");
     }
 
     std::string_view text_;

@@ -57,8 +57,9 @@ public:
     /// Appends (or overwrites) a member; returns *this for chaining.
     Json& set(std::string_view key, Json v);
 
-    /// Compact single-line encoding. Doubles use "%.17g" so every distinct
-    /// double has one canonical spelling and values survive a round-trip.
+    /// Compact single-line encoding. Doubles are spelled "%.17g" by
+    /// util::format_double, so every distinct double has one canonical
+    /// spelling and values survive a round-trip; non-finite ones are null.
     std::string encode() const;
     void encode_to(std::string& out) const;
 
@@ -68,10 +69,12 @@ public:
     static constexpr std::size_t kMaxDepth = 256;
 
     /// Parses exactly one JSON document from `text` (leading/trailing
-    /// whitespace allowed). Throws std::runtime_error with a position
-    /// diagnostic on malformed input, on nesting deeper than kMaxDepth and
-    /// on an object that repeats a key (RFC 8259 leaves their meaning open,
-    /// and the encoder never writes one).
+    /// whitespace allowed). A number is one util::parse_u64 integer or else
+    /// one finite util::parse_double value: "+1", "1e400" and "1e-400" are
+    /// errors. Throws std::runtime_error with a position diagnostic on
+    /// malformed input, on nesting deeper than kMaxDepth and on an object
+    /// that repeats a key (RFC 8259 leaves their meaning open, and the
+    /// encoder never writes one).
     static Json parse(std::string_view text);
 
 private:

@@ -1,45 +1,31 @@
 #include "util/parse.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 namespace nofis::util {
 
-namespace {
-
-bool leading_junk(std::string_view s, bool allow_sign) {
-    if (s.empty()) return true;
-    const unsigned char c0 = static_cast<unsigned char>(s.front());
-    if (std::isspace(c0)) return true;  // strtoull/strtod would skip it
-    if (!allow_sign && (s.front() == '-' || s.front() == '+')) return true;
-    return false;
-}
-
-}  // namespace
-
 std::optional<std::uint64_t> parse_u64(std::string_view s) {
-    if (leading_junk(s, /*allow_sign=*/false)) return std::nullopt;
-    const std::string buf(s);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-    if (end != buf.c_str() + buf.size()) return std::nullopt;
-    if (errno == ERANGE) return std::nullopt;
-    return static_cast<std::uint64_t>(v);
+    std::uint64_t v = 0;
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    return v;
 }
 
 std::optional<double> parse_double(std::string_view s) {
-    if (leading_junk(s, /*allow_sign=*/true)) return std::nullopt;
-    const std::string buf(s);
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) return std::nullopt;
-    if (errno == ERANGE || !std::isfinite(v)) return std::nullopt;
+    double v = 0.0;
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v))
+        return std::nullopt;
     return v;
+}
+
+char* format_double(double v, char* out) noexcept {
+    return std::to_chars(out, out + kMaxDoubleChars, v,
+                         std::chars_format::general, 17)
+        .ptr;
 }
 
 }  // namespace nofis::util
