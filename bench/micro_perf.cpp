@@ -62,6 +62,30 @@ BENCHMARK(BM_MatMul)
     ->Args({128, 0})
     ->Args({128, 1});
 
+// Matrix::matmul (simd kernels, one lane) at the conditioner products of
+// training: Args = {m, k, n}. 1x50x32 and 32x50x32 are weight gradients
+// (xᵀ·g over a 50-row batch), 50x1x32 is Leaf's one-column input layer,
+// 50x32x2 its output layer and 13x20x32 a YBranch-wide input. Items are
+// multiply-adds.
+void BM_MatMulShape(benchmark::State& state) {
+    linalg::kernels::set_choice(linalg::kernels::Choice::kSimd);
+    parallel::set_num_threads(1);
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    rng::Engine eng(10);
+    const auto a = rng::standard_normal_matrix(eng, m, k);
+    const auto b = rng::standard_normal_matrix(eng, k, n);
+    for (auto _ : state) benchmark::DoNotOptimize(a.matmul(b));
+    state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulShape)
+    ->Args({1, 50, 32})
+    ->Args({50, 1, 32})
+    ->Args({50, 32, 2})
+    ->Args({32, 50, 32})
+    ->Args({13, 20, 32});
+
 // One full training epoch of the final NOFIS block, shaped like the
 // NofisEstimator loop under freeze_previous: frozen blocks transport the
 // batch on the pure-value path, the trained block builds the autodiff

@@ -74,7 +74,7 @@ std::uint64_t run_fingerprint(const NofisConfig& cfg,
             .add(static_cast<std::uint64_t>(cfg.latent.steps))
             .add(cfg.latent.alpha)
             .add(static_cast<std::uint64_t>(cfg.latent.anneal))
-            .add(latent::kRwSigma)
+            .add(0.0)  // a slot kept at 0 so latent checkpoints resume
             .add(latent::kSigmaFloor)
             .add(static_cast<std::uint64_t>(latent::kEmIters));
     fp.add(static_cast<std::uint64_t>(cfg.epochs))

@@ -10,8 +10,8 @@ AdditiveCoupling::AdditiveCoupling(std::size_t dim, bool pass_first_half,
                                    std::vector<std::size_t> hidden,
                                    rng::Engine& eng)
     : mask_(dim, pass_first_half, "AdditiveCoupling"),
-      net_(mask_.conditioner_layout(hidden, 1), nn::Activation::kTanh, eng,
-           /*out_gain=*/0.0) {}
+      net_(mask_.conditioner_layout(hidden, kParamsPerDim),
+           nn::Activation::kTanh, eng, /*out_gain=*/0.0) {}
 
 FlowLayer::ForwardVar AdditiveCoupling::forward(const autodiff::Var& x) const {
     using namespace autodiff;

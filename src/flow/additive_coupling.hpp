@@ -14,6 +14,9 @@ namespace nofis::flow {
 /// measured by bench/ablation_coupling.
 class AdditiveCoupling final : public FlowLayer {
 public:
+    /// Conditioner outputs per transformed coordinate: t.
+    static constexpr std::size_t kParamsPerDim = 1;
+
     AdditiveCoupling(std::size_t dim, bool pass_first_half,
                      std::vector<std::size_t> hidden, rng::Engine& eng);
 

@@ -23,8 +23,8 @@ AffineCoupling::AffineCoupling(std::size_t dim, bool pass_first_half,
                                rng::Engine& eng, double scale_cap)
     : mask_(dim, pass_first_half, "AffineCoupling"),
       scale_cap_(scale_cap),
-      net_(mask_.conditioner_layout(hidden, 2), nn::Activation::kTanh, eng,
-           /*out_gain=*/0.0) {}
+      net_(mask_.conditioner_layout(hidden, kParamsPerDim),
+           nn::Activation::kTanh, eng, /*out_gain=*/0.0) {}
 
 FlowLayer::ForwardVar AffineCoupling::forward(const autodiff::Var& x) const {
     using namespace autodiff;

@@ -20,6 +20,9 @@ namespace nofis::flow {
 /// paper requires.
 class AffineCoupling final : public FlowLayer {
 public:
+    /// Conditioner outputs per transformed coordinate: ŝ and t.
+    static constexpr std::size_t kParamsPerDim = 2;
+
     /// `pass_first_half`: if true the first ⌈D/2⌉ coordinates pass through.
     /// Hidden layout of the conditioner is `hidden` (e.g. {32, 32}).
     /// The conditioner's output layer is zero-initialised so a fresh layer

@@ -1,10 +1,23 @@
 #include "flow/coupling_stack.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "rng/normal.hpp"
 
 namespace nofis::flow {
+
+namespace {
+
+std::size_t sat_add(std::size_t a, std::size_t b) {
+    return a > SIZE_MAX - b ? SIZE_MAX : a + b;
+}
+
+std::size_t sat_mul(std::size_t a, std::size_t b) {
+    return b != 0 && a > SIZE_MAX / b ? SIZE_MAX : a * b;
+}
+
+}  // namespace
 
 std::string coupling_kind_name(CouplingKind kind) {
     if (kind == CouplingKind::kAdditive) return "additive";
@@ -18,6 +31,43 @@ std::optional<CouplingKind> parse_coupling_kind(std::string_view name) {
                                     CouplingKind::kRqs})
         if (name == coupling_kind_name(kind)) return kind;
     return std::nullopt;
+}
+
+StackTally stack_tally(const StackConfig& cfg) {
+    std::size_t per_dim = AffineCoupling::kParamsPerDim;
+    if (cfg.coupling == CouplingKind::kAdditive)
+        per_dim = AdditiveCoupling::kParamsPerDim;
+    else if (cfg.coupling == CouplingKind::kRqs)
+        per_dim = RqsCoupling::params_per_dim(cfg.rqs_bins);
+    const std::size_t couplings =
+        sat_mul(cfg.num_blocks, cfg.layers_per_block);
+    StackTally tally;
+    // Couplings alternate their mask as the constructor builds them: the
+    // even ones pass the first half.
+    for (const bool first_half : {true, false}) {
+        const std::size_t count =
+            first_half ? couplings - couplings / 2 : couplings / 2;
+        const std::vector<std::size_t> sizes =
+            CouplingMask(cfg.dim, first_half, "stack_tally")
+                .conditioner_layout(cfg.hidden, per_dim);
+        // Each Linear holds an (in x out) weight and a (1 x out) bias.
+        std::size_t values = 0;
+        for (std::size_t l = 0; l + 1 < sizes.size(); ++l)
+            values = sat_add(values,
+                             sat_mul(sat_add(sizes[l], 1), sizes[l + 1]));
+        tally.tensors =
+            sat_add(tally.tensors, sat_mul(count, 2 * (sizes.size() - 1)));
+        tally.values = sat_add(tally.values, sat_mul(count, values));
+    }
+    tally.layers = couplings;
+    if (cfg.use_actnorm) {
+        // An ActNorm in front of every coupling: a log-scale and a shift row.
+        tally.layers = sat_mul(couplings, 2);
+        tally.tensors = sat_add(tally.tensors, sat_mul(couplings, 2));
+        tally.values =
+            sat_add(tally.values, sat_mul(couplings, sat_mul(cfg.dim, 2)));
+    }
+    return tally;
 }
 
 CouplingStack::CouplingStack(const StackConfig& cfg, rng::Engine& eng)

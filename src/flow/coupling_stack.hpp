@@ -45,6 +45,20 @@ struct StackConfig {
     double rqs_tail = 3.0;
 };
 
+/// What a StackConfig builds, counted from the config alone: physical
+/// layers (ActNorm included), parameter matrices and parameter values.
+/// Each conditioner is sized by CouplingMask::conditioner_layout, the rule
+/// the coupling constructors use, and nothing is built but two masks, so
+/// load_stack can bound an untrusted header before it builds the stack.
+struct StackTally {
+    std::size_t layers = 0;
+    std::size_t tensors = 0;
+    std::size_t values = 0;
+};
+/// Counts saturate at SIZE_MAX instead of wrapping. Throws
+/// std::invalid_argument when cfg.dim < 2, which no coupling accepts.
+StackTally stack_tally(const StackConfig& cfg);
+
 /// A stack of M·K affine couplings with the paper's anchor semantics:
 /// block m (layers (m-1)K+1 .. mK) transports anchor distribution
 /// q_{(m-1)K} to q_{mK}. Masks alternate per layer so every coordinate is

@@ -33,8 +33,9 @@ RqsCoupling::RqsCoupling(std::size_t dim, bool pass_first_half,
           if (!std::isfinite(tail_bound) || tail_bound <= 0.0)
               throw std::invalid_argument(
                   "RqsCoupling: tail_bound must be finite and positive");
-          return nn::MLP(mask_.conditioner_layout(hidden, 3 * num_bins + 1),
-                         nn::Activation::kTanh, eng, /*out_gain=*/0.0);
+          return nn::MLP(
+              mask_.conditioner_layout(hidden, params_per_dim(num_bins)),
+              nn::Activation::kTanh, eng, /*out_gain=*/0.0);
       }()) {}
 
 FlowLayer::ForwardVar RqsCoupling::forward(const autodiff::Var& x) const {

@@ -28,6 +28,12 @@ namespace nofis::flow {
 /// their no-op defaults and checkpoint snapshots record a 0 cap.
 class RqsCoupling final : public FlowLayer {
 public:
+    /// Conditioner outputs per transformed coordinate: num_bins widths,
+    /// num_bins heights and num_bins + 1 knot derivatives.
+    static constexpr std::size_t params_per_dim(std::size_t num_bins) {
+        return 3 * num_bins + 1;
+    }
+
     RqsCoupling(std::size_t dim, bool pass_first_half,
                 std::vector<std::size_t> hidden, rng::Engine& eng,
                 std::size_t num_bins = 8, double tail_bound = 3.0);

@@ -24,6 +24,18 @@ constexpr std::size_t kMaxLayersPerBlock = 4096;
 constexpr std::size_t kMaxHiddenLayers = 256;
 constexpr std::size_t kMaxHiddenWidth = 1u << 20;
 
+// Bounds on what the fields imply together (stack_tally), checked before
+// anything is built: each field can pass its own bound while their
+// product asks for terabytes. The largest flows the repo trains have 144
+// layers (`bench/ablation_coupling --case Cube`: 9 blocks of 8 couplings,
+// each behind an ActNorm), 576 parameter matrices (bench/
+// ablation_capacity's K = 16 on Leaf) and 1,106,200 values (`--coupling
+// rqs` on DeepNet62); each cap is about two orders of magnitude above
+// (114x, 114x, 61x). At the value cap the parameters take 512 MiB.
+constexpr std::size_t kMaxLayers = 1u << 14;
+constexpr std::size_t kMaxParamMatrices = 1u << 16;
+constexpr std::size_t kMaxParamValues = 1u << 26;
+
 [[noreturn]] void fail(const std::string& what) {
     throw std::runtime_error("flow serialisation: " + what);
 }
@@ -139,7 +151,7 @@ CouplingStack load_stack(std::istream& is) {
         if (cfg.rqs_tail <= 0.0)
             fail("implausible rqs tail bound in header (corrupt file?)");
     }
-    check_bound("dim", cfg.dim, 1, kMaxDim);
+    check_bound("dim", cfg.dim, 2, kMaxDim);
     check_bound("block count", cfg.num_blocks, 1, kMaxBlocks);
     check_bound("layers per block", cfg.layers_per_block, 1,
                 kMaxLayersPerBlock);
@@ -155,19 +167,23 @@ CouplingStack load_stack(std::istream& is) {
         if (is) check_bound("hidden width", h, 1, kMaxHiddenWidth);
     }
     if (!is) fail("truncated header");
+    const StackTally tally = stack_tally(cfg);
+    check_bound("layer count", tally.layers, 1, kMaxLayers);
+    check_bound("parameter matrix count", tally.tensors, 1,
+                kMaxParamMatrices);
+    check_bound("parameter value count", tally.values, 1, kMaxParamValues);
+
+    std::size_t param_count = 0;
+    is >> param_count;
+    if (param_count != tally.tensors)
+        fail("parameter count mismatch (file " + std::to_string(param_count) +
+             ", architecture " + std::to_string(tally.tensors) + ")");
 
     // Architecture is reconstructed, then every parameter is overwritten,
     // so the init engine's seed is irrelevant.
     rng::Engine dummy(0);
     CouplingStack stack(cfg, dummy);
-
-    std::size_t param_count = 0;
-    is >> param_count;
-    auto params = stack.params();
-    if (param_count != params.size())
-        fail("parameter count mismatch (file " + std::to_string(param_count) +
-             ", architecture " + std::to_string(params.size()) + ")");
-    for (auto& p : params) {
+    for (auto& p : stack.params()) {
         std::size_t rows = 0;
         std::size_t cols = 0;
         is >> rows >> cols;

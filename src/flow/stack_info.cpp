@@ -18,10 +18,9 @@ StackInfo stack_info(const CouplingStack& stack) {
         info.rqs_bins = cfg.rqs_bins;
         info.rqs_tail = cfg.rqs_tail;
     }
-    for (const auto& p : stack.params()) {
-        ++info.param_tensors;
-        info.param_values += p.value().rows() * p.value().cols();
-    }
+    const StackTally tally = stack_tally(cfg);
+    info.param_tensors = tally.tensors;
+    info.param_values = tally.values;
     return info;
 }
 

@@ -44,9 +44,9 @@ ExploreResult explore(const flow::CouplingStack& trained_flow,
     if (problem.dim() != d)
         throw std::invalid_argument("latent::explore: flow/problem dim mismatch");
     const std::size_t blocks = trained_flow.num_blocks();
-    const double sigma =
-        cfg.rw_sigma > 0.0 ? cfg.rw_sigma
-                           : 2.38 / std::sqrt(static_cast<double>(d));
+    // Random-walk proposal stddev in base space: the classic Roberts–
+    // Rosenthal scaling.
+    const double sigma = 2.38 / std::sqrt(static_cast<double>(d));
     const AnnealSchedule sched(cfg.anneal, cfg.a_start, s);
 
     // One substream per chain: stable under chain-count changes, no draws

@@ -13,9 +13,6 @@ namespace nofis::latent {
 struct ChainConfig {
     std::size_t chains = 8;  ///< K — independent Metropolis walkers
     std::size_t steps = 40;  ///< S — proposals per walker
-    /// Random-walk proposal stddev in base space; <= 0 selects the classic
-    /// 2.38 / sqrt(d) Roberts–Rosenthal scaling.
-    double rw_sigma = 0.0;
     AnnealKind anneal = AnnealKind::kLinear;
     double tau = 20.0;    ///< temperature of the tempered indicator
     double a_start = 0.0; ///< first (easiest) level of the ladder

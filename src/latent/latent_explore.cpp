@@ -42,7 +42,6 @@ estimators::EstimateResult explore_and_estimate(
         ChainConfig ccfg;
         ccfg.chains = cfg.chains;
         ccfg.steps = cfg.steps;
-        ccfg.rw_sigma = kRwSigma;
         ccfg.anneal = cfg.anneal;
         ccfg.tau = tau;
         ccfg.a_start = a_start;

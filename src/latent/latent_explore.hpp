@@ -22,10 +22,8 @@ struct LatentConfig {
     AnnealKind anneal = AnnealKind::kLinear;
 };
 
-/// Fixed exploration knobs (no flag sets them): the chains' random-walk
-/// stddev (<= 0 selects 2.38/sqrt(d)), the refinement components' sigma
-/// floor, and the EM polish passes over the harvest.
-inline constexpr double kRwSigma = 0.0;
+/// Fixed exploration knobs (no flag sets them): the refinement
+/// components' sigma floor and the EM polish passes over the harvest.
 inline constexpr double kSigmaFloor = 0.05;
 inline constexpr std::size_t kEmIters = 2;
 

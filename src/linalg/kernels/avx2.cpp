@@ -5,8 +5,8 @@
 //
 // Bitwise contract: no FMA is ever emitted (-mavx2 without -mfma makes
 // contraction impossible), and each output element accumulates its k-terms
-// in the same ascending order as the scalar reference, so results
-// (including NaN/Inf propagation) are bit-identical to the scalar kernels.
+// in the same ascending order as the scalar reference, so results are
+// bit-identical to the scalar kernels (NaN payloads aside: kernels.hpp).
 // tanh/exp/sigmoid use the 4-lane mirrors in avx2_math.hpp of the
 // deterministic scalar ports in scalar_math.hpp — the one place where
 // "same math" required owning the math instead of calling libm.
@@ -16,8 +16,7 @@
 // register tile, tanh runs the split-branch pass below, which packs the
 // lanes taking the exp branch into vectors of their own, and the affine
 // coupling gathers its s-values across rows into one buffer for that
-// pass. None of them changes any element's operation sequence. The RQS
-// slots point at the scalar kernels, so the table is complete.
+// pass. None of them changes any element's operation sequence.
 
 #include "linalg/kernels/table.hpp"
 
@@ -39,63 +38,6 @@ namespace {
 inline __m256i tail_mask(std::size_t rem) {
     return _mm256_set_epi64x(rem > 3 ? -1 : 0, rem > 2 ? -1 : 0,
                              rem > 1 ? -1 : 0, -1);
-}
-
-/// Accumulates one output-row column block entirely in registers:
-/// acc[m] (+)= Σ_k lhs_row[k] · rhs[k, j0 + 4m .. j0 + 4m + 3], k strictly
-/// ascending. NR is the register-block width (NR × 4 columns); holding the
-/// accumulators across the whole k loop removes the per-k reload/spill of
-/// the output row that dominated the small-matrix profile. The per-element
-/// operation chain — ((acc + a0·w0) + a1·w1) + … — is the scalar
-/// reference's exactly.
-template <int NR>
-void accum_row_block(const double* lhs_row, const double* rhs, std::size_t k,
-                     std::size_t n, std::size_t j0, __m256d* acc) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const __m256d va = _mm256_set1_pd(lhs_row[kk]);
-        const double* rp = rhs + kk * n + j0;
-        for (int m = 0; m < NR; ++m)
-            acc[m] = _mm256_add_pd(
-                acc[m], _mm256_mul_pd(va, _mm256_loadu_pd(rp + 4 * m)));
-    }
-}
-
-void matmul_rows_avx2(const double* lhs, const double* rhs, double* out,
-                      std::size_t r0, std::size_t r1, std::size_t k,
-                      std::size_t n) {
-    for (std::size_t i = r0; i < r1; ++i) {
-        double* out_row = out + i * n;
-        const double* lhs_row = lhs + i * k;
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16) {
-            __m256d acc[4] = {_mm256_loadu_pd(out_row + j),
-                              _mm256_loadu_pd(out_row + j + 4),
-                              _mm256_loadu_pd(out_row + j + 8),
-                              _mm256_loadu_pd(out_row + j + 12)};
-            accum_row_block<4>(lhs_row, rhs, k, n, j, acc);
-            _mm256_storeu_pd(out_row + j, acc[0]);
-            _mm256_storeu_pd(out_row + j + 4, acc[1]);
-            _mm256_storeu_pd(out_row + j + 8, acc[2]);
-            _mm256_storeu_pd(out_row + j + 12, acc[3]);
-        }
-        for (; j + 4 <= n; j += 4) {
-            __m256d acc[1] = {_mm256_loadu_pd(out_row + j)};
-            accum_row_block<1>(lhs_row, rhs, k, n, j, acc);
-            _mm256_storeu_pd(out_row + j, acc[0]);
-        }
-        if (j < n) {
-            // Masked tail: inactive lanes load 0.0, compute garbage, and are
-            // never stored; active lanes run the identical ascending chain.
-            const __m256i mask = tail_mask(n - j);
-            __m256d acc = _mm256_maskload_pd(out_row + j, mask);
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const __m256d va = _mm256_set1_pd(lhs_row[kk]);
-                const __m256d wv = _mm256_maskload_pd(rhs + kk * n + j, mask);
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(va, wv));
-            }
-            _mm256_maskstore_pd(out_row + j, mask, acc);
-        }
-    }
 }
 
 void ew_add_avx2(const double* a, const double* b, double* out,
@@ -450,39 +392,15 @@ void affine_rows_avx2(const double* in, const double* h,
     }
 }
 
-void scale_shift_rows_avx2(const double* x, const double* scale,
-                           const double* shift, double* y, std::size_t dim,
-                           std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-        const double* x_row = x + r * dim;
-        double* y_row = y + r * dim;
-        std::size_t c = 0;
-        for (; c + 4 <= dim; c += 4)
-            _mm256_storeu_pd(
-                y_row + c,
-                _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(x_row + c),
-                                            _mm256_loadu_pd(scale + c)),
-                              _mm256_loadu_pd(shift + c)));
-        for (; c < dim; ++c) y_row[c] = x_row[c] * scale[c] + shift[c];
-    }
-}
-
 }  // namespace
 
 const Table* avx2_table() {
     if (!__builtin_cpu_supports("avx2")) return nullptr;
     static const Table t = [] {
         Table tab;
-        tab.matmul_rows = matmul_rows_avx2;
         tab.linear_act_rows = linear_act_rows_avx2;
         tab.affine_fwd_rows = affine_rows_avx2<false>;
         tab.affine_inv_rows = affine_rows_avx2<true>;
-        tab.scale_shift_rows = scale_shift_rows_avx2;
-        // The RQS splines have one implementation, the scalar one
-        // (kernels.hpp).
-        tab.rqs_fwd_rows = scalar_table().rqs_fwd_rows;
-        tab.rqs_inv_rows = scalar_table().rqs_inv_rows;
-        tab.rqs_bwd_rows = scalar_table().rqs_bwd_rows;
         tab.ew_add = ew_add_avx2;
         tab.ew_sub = ew_sub_avx2;
         tab.ew_mul = ew_mul_avx2;

@@ -85,12 +85,6 @@ const char* simd_backend() noexcept {
     return detail::simd_resolution().backend;
 }
 
-void matmul_rows(const double* lhs, const double* rhs, double* out,
-                 std::size_t r0, std::size_t r1, std::size_t k,
-                 std::size_t n) {
-    active_table().matmul_rows(lhs, rhs, out, r0, r1, k, n);
-}
-
 void linear_act_rows(const double* x, const double* w, const double* b,
                      double* y, std::size_t r0, std::size_t r1,
                      std::size_t in, std::size_t out, Act act) {
@@ -111,36 +105,6 @@ void affine_inv_rows(const double* y, const double* h,
                      double* log_det, std::size_t r0, std::size_t r1) {
     active_table().affine_inv_rows(y, h, idx_b, nb, scale_cap, dim, x,
                                    log_det, r0, r1);
-}
-
-void scale_shift_rows(const double* x, const double* scale,
-                      const double* shift, double* y, std::size_t dim,
-                      std::size_t r0, std::size_t r1) {
-    active_table().scale_shift_rows(x, scale, shift, y, dim, r0, r1);
-}
-
-void rqs_fwd_rows(const double* x, const double* h, const std::size_t* idx_b,
-                  std::size_t nb, std::size_t num_bins, double tail_bound,
-                  std::size_t dim, double* y, double* log_det, std::size_t r0,
-                  std::size_t r1) {
-    active_table().rqs_fwd_rows(x, h, idx_b, nb, num_bins, tail_bound, dim, y,
-                                log_det, r0, r1);
-}
-
-void rqs_inv_rows(const double* y, const double* h, const std::size_t* idx_b,
-                  std::size_t nb, std::size_t num_bins, double tail_bound,
-                  std::size_t dim, double* x, double* log_det, std::size_t r0,
-                  std::size_t r1) {
-    active_table().rqs_inv_rows(y, h, idx_b, nb, num_bins, tail_bound, dim, x,
-                                log_det, r0, r1);
-}
-
-void rqs_bwd_rows(const double* xb, const double* h, std::size_t nb,
-                  std::size_t num_bins, double tail_bound, const double* gy,
-                  const double* gld, double* gx, double* gh, std::size_t r0,
-                  std::size_t r1) {
-    active_table().rqs_bwd_rows(xb, h, nb, num_bins, tail_bound, gy, gld, gx,
-                                gh, r0, r1);
 }
 
 void ew_add(const double* a, const double* b, double* out, std::size_t n) {

@@ -36,9 +36,11 @@ namespace nofis::linalg::kernels {
 /// owns deterministic Cephes-style ports (scalar_math.hpp) whose AVX2
 /// mirrors (avx2_math.hpp) perform the identical operation sequence per
 /// lane. Consequently `scalar` and `simd` produce bitwise-identical
-/// results, including the propagation of NaN/Inf inputs, and DESIGN.md
+/// results, including which outputs NaN/Inf inputs reach, and DESIGN.md
 /// §8.2's any-thread-count bitwise guarantee holds unchanged for either
-/// choice. (Swapping libm out re-baselined flow numerics by a few ulps vs
+/// choice. One exception: where two NaNs of different sign or payload meet
+/// in one dense-layer sum, which of them survives differs by backend
+/// (KernelMath.MatmulBitsArePinned pins each backend's bits). (Swapping libm out re-baselined flow numerics by a few ulps vs
 /// the pre-kernel goldens — the §8.2 re-baseline note records it.)
 ///
 /// The active flavour comes from `--kernels auto|scalar|simd` (CLI) or the
@@ -77,20 +79,23 @@ enum class Act { kNone, kTanh, kRelu, kLeakyRelu, kSigmoid };
 // All matrices are dense row-major. Row kernels operate on the row range
 // [r0, r1) so parallel_for can tile them with disjoint writes (§8.2).
 
-/// out[i,:] += Σ_k lhs[i,k] · rhs[k,:] for i in [r0, r1). `out` rows must be
-/// zero-initialised; accumulation over k is strictly ascending per output
-/// element. lhs is (rows x k), rhs is (k x n), out is (rows x n).
-void matmul_rows(const double* lhs, const double* rhs, double* out,
-                 std::size_t r0, std::size_t r1, std::size_t k,
-                 std::size_t n);
-
-/// Fused dense layer: y[i,:] = act(x[i,:] · W + b) for i in [r0, r1).
-/// W is (in x out) row-major, b has `out` entries. The bias is added after
-/// the full k-sum (matching matmul-then-add_bias order) and the activation
-/// is applied last.
+/// Dense layer, the one kernel behind every product x · W in the system:
+/// y[i,:] = act(x[i,:] · W + b) for i in [r0, r1). W is (in x out)
+/// row-major, b has `out` entries. Each output accumulates from +0.0 over
+/// k in strictly ascending order, the bias is added after the full k-sum
+/// and the activation is applied last. Matrix::matmul is this kernel with
+/// a zero bias and Act::kNone: a sum that starts at +0.0 is never −0.0 in
+/// round-to-nearest and a NaN stays the same NaN, so adding +0.0 changes
+/// no bit of the product.
 void linear_act_rows(const double* x, const double* w, const double* b,
                      double* y, std::size_t r0, std::size_t r1,
                      std::size_t in, std::size_t out, Act act);
+
+/// Dense products below this many multiply-adds (rows · in · out) run
+/// inline; larger ones tile their rows over the pool. The one fork rule of
+/// Matrix::matmul and MLP::predict: below it the fork-join overhead beats
+/// any speedup, as for the small conditioner layers.
+inline constexpr std::size_t kParallelDenseMinOps = std::size_t{1} << 15;
 
 /// Fused RealNVP affine-coupling forward transform for rows [r0, r1):
 /// given the raw conditioner output h (rows x 2·nb), for each j < nb
@@ -113,6 +118,7 @@ void affine_inv_rows(const double* y, const double* h,
 
 /// Row-broadcast affine map (ActNorm value path): for i in [r0, r1),
 /// y[i,:] = x[i,:] ⊙ scale + shift, with scale/shift rows of length dim.
+/// One scalar loop for every flavour: no backend vectorizes it.
 void scale_shift_rows(const double* x, const double* scale,
                       const double* shift, double* y, std::size_t dim,
                       std::size_t r0, std::size_t r1);
@@ -124,10 +130,10 @@ void scale_shift_rows(const double* x, const double* scale,
 // to a spline on [-tail_bound, tail_bound] with identity tails. `h` rows
 // are laid out as nb consecutive param groups of size 3·num_bins+1.
 //
-// These kernels ship only the scalar reference implementation: every
-// backend table points at the very same function, so the scalar ≡ simd
-// bitwise contract holds trivially. Unlike the affine kernels they may
-// call libm log/sqrt/log1p —
+// These kernels ship only the scalar reference implementation, which
+// every flavour calls directly (they have no table slot), so the
+// scalar ≡ simd bitwise contract holds trivially. Unlike the affine
+// kernels they may call libm log/sqrt/log1p —
 // safe precisely because no independently-rounded vector variant exists;
 // a future vectorized flavour must port those first (see scalar_math.hpp).
 

@@ -7,29 +7,21 @@
 // tanh/exp/sigmoid go through the deterministic k_* ports in
 // scalar_math.hpp, not libm — libm is the one piece of the pipeline whose
 // rounding we do not control, and the AVX2 backend mirrors k_* op-for-op.
+//
+// The kernels with one implementation, the ActNorm scale-shift and the
+// splines, follow the table: no backend has a vector variant of them, so
+// they have no slot and every flavour calls them directly.
 
 #include <cmath>
 
 #include "linalg/kernels/scalar_math.hpp"
 #include "linalg/kernels/table.hpp"
 
-namespace nofis::linalg::kernels::detail {
+namespace nofis::linalg::kernels {
+
+namespace detail {
 
 namespace {
-
-void matmul_rows_scalar(const double* lhs, const double* rhs, double* out,
-                        std::size_t r0, std::size_t r1, std::size_t k,
-                        std::size_t n) {
-    for (std::size_t i = r0; i < r1; ++i) {
-        double* out_row = out + i * n;
-        const double* lhs_row = lhs + i * k;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double a = lhs_row[kk];
-            const double* rhs_row = rhs + kk * n;
-            for (std::size_t j = 0; j < n; ++j) out_row[j] += a * rhs_row[j];
-        }
-    }
-}
 
 double apply_act(double v, Act act) {
     switch (act) {
@@ -102,9 +94,63 @@ void affine_inv_rows_scalar(const double* y, const double* h,
     }
 }
 
-void scale_shift_rows_scalar(const double* x, const double* scale,
-                             const double* shift, double* y, std::size_t dim,
-                             std::size_t r0, std::size_t r1) {
+void ew_add_scalar(const double* a, const double* b, double* out,
+                   std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+}
+
+void ew_sub_scalar(const double* a, const double* b, double* out,
+                   std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+}
+
+void ew_mul_scalar(const double* a, const double* b, double* out,
+                   std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+}
+
+void ew_scale_scalar(const double* a, double s, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * s;
+}
+
+void ew_tanh_scalar(const double* a, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = k_tanh(a[i]);
+}
+
+void ew_exp_scalar(const double* a, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = k_exp(a[i]);
+}
+
+void ew_tanh_bwd_scalar(const double* y, const double* g, double* out,
+                        std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
+}
+
+}  // namespace
+
+const Table& scalar_table() {
+    static const Table t = [] {
+        Table tab;
+        tab.linear_act_rows = linear_act_rows_scalar;
+        tab.affine_fwd_rows = affine_fwd_rows_scalar;
+        tab.affine_inv_rows = affine_inv_rows_scalar;
+        tab.ew_add = ew_add_scalar;
+        tab.ew_sub = ew_sub_scalar;
+        tab.ew_mul = ew_mul_scalar;
+        tab.ew_scale = ew_scale_scalar;
+        tab.ew_tanh = ew_tanh_scalar;
+        tab.ew_exp = ew_exp_scalar;
+        tab.ew_tanh_bwd = ew_tanh_bwd_scalar;
+        return tab;
+    }();
+    return t;
+}
+
+}  // namespace detail
+
+void scale_shift_rows(const double* x, const double* scale,
+                      const double* shift, double* y, std::size_t dim,
+                      std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r)
         for (std::size_t c = 0; c < dim; ++c)
             y[r * dim + c] = x[r * dim + c] * scale[c] + shift[c];
@@ -113,11 +159,13 @@ void scale_shift_rows_scalar(const double* x, const double* scale,
 // --- rational-quadratic splines (DESIGN.md §14) ------------------------------
 // Per-element monotone RQS transform after Durkan et al., "Neural Spline
 // Flows". All spline arithmetic lives in THIS translation unit (compiled
-// with -ffp-contract=off like every kernel TU) and every flavour's table
-// points here, so the bitwise scalar ≡ simd and tape ≡ value-path
+// with -ffp-contract=off like every kernel TU) and every flavour calls
+// these functions, so the bitwise scalar ≡ simd and tape ≡ value-path
 // guarantees hold by construction. std::log/std::sqrt/std::log1p are
 // permitted (unlike tanh/exp) because no independently-rounded vector
 // variant of these kernels exists — see the note in kernels.hpp.
+
+namespace {
 
 /// Fraction of the interval each bin keeps at minimum (keeps softmax bins
 /// from collapsing and the log-det finite).
@@ -243,11 +291,12 @@ double rqs_inv_one(double y, const RqsKnots& kn, std::size_t K, double B,
     return kn.xk[k] + xi * w;
 }
 
-void rqs_fwd_rows_scalar(const double* x, const double* h,
-                         const std::size_t* idx_b, std::size_t nb,
-                         std::size_t num_bins, double tail_bound,
-                         std::size_t dim, double* y, double* log_det,
-                         std::size_t r0, std::size_t r1) {
+}  // namespace
+
+void rqs_fwd_rows(const double* x, const double* h, const std::size_t* idx_b,
+                  std::size_t nb, std::size_t num_bins, double tail_bound,
+                  std::size_t dim, double* y, double* log_det, std::size_t r0,
+                  std::size_t r1) {
     const std::size_t group = 3 * num_bins + 1;
     RqsKnots kn;
     for (std::size_t r = r0; r < r1; ++r) {
@@ -265,11 +314,10 @@ void rqs_fwd_rows_scalar(const double* x, const double* h,
     }
 }
 
-void rqs_inv_rows_scalar(const double* y, const double* h,
-                         const std::size_t* idx_b, std::size_t nb,
-                         std::size_t num_bins, double tail_bound,
-                         std::size_t dim, double* x, double* log_det,
-                         std::size_t r0, std::size_t r1) {
+void rqs_inv_rows(const double* y, const double* h, const std::size_t* idx_b,
+                  std::size_t nb, std::size_t num_bins, double tail_bound,
+                  std::size_t dim, double* x, double* log_det, std::size_t r0,
+                  std::size_t r1) {
     const std::size_t group = 3 * num_bins + 1;
     RqsKnots kn;
     for (std::size_t r = r0; r < r1; ++r) {
@@ -286,6 +334,8 @@ void rqs_inv_rows_scalar(const double* y, const double* h,
         log_det[r] += ld;
     }
 }
+
+namespace {
 
 /// Backward of one spline element: accumulates ∂L/∂x into *gx and ∂L/∂raw
 /// params into gp[0..3K]. gy_el is ∂L/∂y, gl is ∂L/∂(this element's logd).
@@ -368,10 +418,12 @@ void rqs_bwd_one(double x, const double* p, const RqsKnots& kn,
     gp[2 * K + k + 1] += g_d1 * k_sigmoid(p[2 * K + k + 1] + shift);
 }
 
-void rqs_bwd_rows_scalar(const double* xb, const double* h, std::size_t nb,
-                         std::size_t num_bins, double tail_bound,
-                         const double* gy, const double* gld, double* gx,
-                         double* gh, std::size_t r0, std::size_t r1) {
+}  // namespace
+
+void rqs_bwd_rows(const double* xb, const double* h, std::size_t nb,
+                  std::size_t num_bins, double tail_bound, const double* gy,
+                  const double* gld, double* gx, double* gh, std::size_t r0,
+                  std::size_t r1) {
     const std::size_t group = 3 * num_bins + 1;
     RqsKnots kn;
     for (std::size_t r = r0; r < r1; ++r) {
@@ -388,61 +440,4 @@ void rqs_bwd_rows_scalar(const double* xb, const double* h, std::size_t nb,
     }
 }
 
-void ew_add_scalar(const double* a, const double* b, double* out,
-                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void ew_sub_scalar(const double* a, const double* b, double* out,
-                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void ew_mul_scalar(const double* a, const double* b, double* out,
-                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void ew_scale_scalar(const double* a, double s, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * s;
-}
-
-void ew_tanh_scalar(const double* a, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = k_tanh(a[i]);
-}
-
-void ew_exp_scalar(const double* a, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = k_exp(a[i]);
-}
-
-void ew_tanh_bwd_scalar(const double* y, const double* g, double* out,
-                        std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
-}
-
-}  // namespace
-
-const Table& scalar_table() {
-    static const Table t = [] {
-        Table tab;
-        tab.matmul_rows = matmul_rows_scalar;
-        tab.linear_act_rows = linear_act_rows_scalar;
-        tab.affine_fwd_rows = affine_fwd_rows_scalar;
-        tab.affine_inv_rows = affine_inv_rows_scalar;
-        tab.scale_shift_rows = scale_shift_rows_scalar;
-        tab.rqs_fwd_rows = rqs_fwd_rows_scalar;
-        tab.rqs_inv_rows = rqs_inv_rows_scalar;
-        tab.rqs_bwd_rows = rqs_bwd_rows_scalar;
-        tab.ew_add = ew_add_scalar;
-        tab.ew_sub = ew_sub_scalar;
-        tab.ew_mul = ew_mul_scalar;
-        tab.ew_scale = ew_scale_scalar;
-        tab.ew_tanh = ew_tanh_scalar;
-        tab.ew_exp = ew_exp_scalar;
-        tab.ew_tanh_bwd = ew_tanh_bwd_scalar;
-        return tab;
-    }();
-    return t;
-}
-
-}  // namespace nofis::linalg::kernels::detail
+}  // namespace nofis::linalg::kernels

@@ -14,43 +14,6 @@ namespace nofis::linalg::kernels::detail {
 
 namespace {
 
-void matmul_rows_portable(const double* lhs, const double* rhs, double* out,
-                          std::size_t r0, std::size_t r1, std::size_t k,
-                          std::size_t n) {
-    for (std::size_t i = r0; i < r1; ++i) {
-        double* out_row = out + i * n;
-        const double* lhs_row = lhs + i * k;
-        std::size_t kk = 0;
-        // Register-blocked over k: four rhs rows stream per pass, each
-        // out[j] accumulating its four terms in ascending-k order.
-        for (; kk + 4 <= k; kk += 4) {
-            const double a0 = lhs_row[kk];
-            const double a1 = lhs_row[kk + 1];
-            const double a2 = lhs_row[kk + 2];
-            const double a3 = lhs_row[kk + 3];
-            const double* r0p = rhs + kk * n;
-            const double* r1p = r0p + n;
-            const double* r2p = r1p + n;
-            const double* r3p = r2p + n;
-#pragma omp simd
-            for (std::size_t j = 0; j < n; ++j) {
-                double acc = out_row[j];
-                acc = acc + a0 * r0p[j];
-                acc = acc + a1 * r1p[j];
-                acc = acc + a2 * r2p[j];
-                acc = acc + a3 * r3p[j];
-                out_row[j] = acc;
-            }
-        }
-        for (; kk < k; ++kk) {
-            const double a = lhs_row[kk];
-            const double* rhs_row = rhs + kk * n;
-#pragma omp simd
-            for (std::size_t j = 0; j < n; ++j) out_row[j] += a * rhs_row[j];
-        }
-    }
-}
-
 void linear_act_rows_portable(const double* x, const double* w,
                               const double* b, double* y, std::size_t r0,
                               std::size_t r1, std::size_t in, std::size_t out,
@@ -117,19 +80,6 @@ void linear_act_rows_portable(const double* x, const double* w,
     }
 }
 
-void scale_shift_rows_portable(const double* x, const double* scale,
-                               const double* shift, double* y,
-                               std::size_t dim, std::size_t r0,
-                               std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-        const double* x_row = x + r * dim;
-        double* y_row = y + r * dim;
-#pragma omp simd
-        for (std::size_t c = 0; c < dim; ++c)
-            y_row[c] = x_row[c] * scale[c] + shift[c];
-    }
-}
-
 void ew_add_portable(const double* a, const double* b, double* out,
                      std::size_t n) {
 #pragma omp simd
@@ -165,23 +115,18 @@ void ew_tanh_bwd_portable(const double* y, const double* g, double* out,
 const Table& portable_table() {
     static const Table t = [] {
         Table tab;
-        tab.matmul_rows = matmul_rows_portable;
         tab.linear_act_rows = linear_act_rows_portable;
-        tab.scale_shift_rows = scale_shift_rows_portable;
         tab.ew_add = ew_add_portable;
         tab.ew_sub = ew_sub_portable;
         tab.ew_mul = ew_mul_portable;
         tab.ew_scale = ew_scale_portable;
         tab.ew_tanh_bwd = ew_tanh_bwd_portable;
         // The scalar loops, not copies of them: each element is one
-        // k_tanh/k_exp call (and the splines an O(K) scan with libm logs),
-        // which leaves a portable loop nothing to vectorize (kernels.hpp).
+        // k_tanh/k_exp call, which leaves a portable loop nothing to
+        // vectorize (kernels.hpp).
         const Table& scalar = scalar_table();
         tab.affine_fwd_rows = scalar.affine_fwd_rows;
         tab.affine_inv_rows = scalar.affine_inv_rows;
-        tab.rqs_fwd_rows = scalar.rqs_fwd_rows;
-        tab.rqs_inv_rows = scalar.rqs_inv_rows;
-        tab.rqs_bwd_rows = scalar.rqs_bwd_rows;
         tab.ew_tanh = scalar.ew_tanh;
         tab.ew_exp = scalar.ew_exp;
         return tab;

@@ -12,8 +12,6 @@
 namespace nofis::linalg::kernels::detail {
 
 struct Table {
-    void (*matmul_rows)(const double*, const double*, double*, std::size_t,
-                        std::size_t, std::size_t, std::size_t) = nullptr;
     void (*linear_act_rows)(const double*, const double*, const double*,
                             double*, std::size_t, std::size_t, std::size_t,
                             std::size_t, Act) = nullptr;
@@ -23,18 +21,6 @@ struct Table {
     void (*affine_inv_rows)(const double*, const double*, const std::size_t*,
                             std::size_t, double, std::size_t, double*,
                             double*, std::size_t, std::size_t) = nullptr;
-    void (*scale_shift_rows)(const double*, const double*, const double*,
-                             double*, std::size_t, std::size_t,
-                             std::size_t) = nullptr;
-    void (*rqs_fwd_rows)(const double*, const double*, const std::size_t*,
-                         std::size_t, std::size_t, double, std::size_t,
-                         double*, double*, std::size_t, std::size_t) = nullptr;
-    void (*rqs_inv_rows)(const double*, const double*, const std::size_t*,
-                         std::size_t, std::size_t, double, std::size_t,
-                         double*, double*, std::size_t, std::size_t) = nullptr;
-    void (*rqs_bwd_rows)(const double*, const double*, std::size_t,
-                         std::size_t, double, const double*, const double*,
-                         double*, double*, std::size_t, std::size_t) = nullptr;
     void (*ew_add)(const double*, const double*, double*,
                    std::size_t) = nullptr;
     void (*ew_sub)(const double*, const double*, double*,
@@ -49,7 +35,9 @@ struct Table {
 };
 
 // Every table fills every slot. A backend points a slot at the scalar
-// kernel where it has nothing to vectorize rather than leave it null.
+// kernel where it has nothing to vectorize rather than leave it null. A
+// kernel no backend vectorizes (the ActNorm scale-shift, the splines) has
+// no slot: it is one function in scalar.cpp that every flavour calls.
 
 /// Serial reference kernels.
 const Table& scalar_table();

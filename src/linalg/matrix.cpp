@@ -17,10 +17,6 @@ namespace {
 [[noreturn]] void shape_error(const char* what) {
     throw std::invalid_argument(std::string("Matrix shape error: ") + what);
 }
-
-/// Products below this many multiply-adds run on the serial kernel — the
-/// fork-join overhead beats any speedup for the small conditioner layers.
-constexpr std::size_t kParallelMatmulMinOps = 1u << 15;
 }  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
@@ -171,21 +167,22 @@ Matrix Matrix::hadamard(const Matrix& rhs) const {
 Matrix Matrix::matmul(const Matrix& rhs) const {
     if (cols_ != rhs.rows()) shape_error("matmul inner dimension");
     Matrix out(rows_, rhs.cols_);
-    // i-k-j loop order: streams through rhs rows, cache-friendly for
-    // row-major storage without requiring an explicit transpose. The inner
-    // kernel is dispatched (scalar reference or register-blocked SIMD —
-    // bitwise-identical results either way) and never skips zero
-    // multipliers: 0·NaN must stay NaN so non-finite values in the rhs
+    // The dense-layer kernel with a zero bias and no activation, which
+    // leaves every bit of the product unchanged (kernels.hpp). It is
+    // dispatched (scalar reference or register-tiled SIMD) and never skips
+    // zero multipliers: 0·NaN must stay NaN so non-finite values in the rhs
     // propagate to downstream all_finite() divergence checks.
+    const std::vector<double> zero_bias(rhs.cols_, 0.0);
     auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::matmul_rows(data(), rhs.data(), out.data(), r0, r1, cols_,
-                             rhs.cols_);
+        kernels::linear_act_rows(data(), rhs.data(), zero_bias.data(),
+                                 out.data(), r0, r1, cols_, rhs.cols_,
+                                 kernels::Act::kNone);
     };
     // Row-tiled parallel kernel: every output row is produced by exactly one
     // lane with the same inner loop and accumulation order as the serial
     // path, so the product is bitwise identical at any thread count.
     const std::size_t madds = rows_ * cols_ * rhs.cols_;
-    if (madds >= kParallelMatmulMinOps) {
+    if (madds >= kernels::kParallelDenseMinOps) {
         // Only the tiled path reports telemetry: the small conditioner
         // products are far too frequent for a shared counter, and the
         // tiled products are what the perf PRs optimise. Counting and

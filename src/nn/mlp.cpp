@@ -11,11 +11,6 @@ namespace {
 
 namespace kernels = linalg::kernels;
 
-/// Below this many multiply-adds a fused layer runs inline — same
-/// threshold discipline as the tiled matmul (fork-join overhead beats any
-/// win for the small conditioner layers).
-constexpr std::size_t kParallelFusedMinOps = 1u << 15;
-
 kernels::Act kernel_act(Activation act) {
     switch (act) {
         case Activation::kTanh:
@@ -90,7 +85,7 @@ linalg::Matrix MLP::predict(const linalg::Matrix& x) const {
                                      next.data(), r0, r1, w.rows(), w.cols(),
                                      act);
         };
-        if (cur.rows() * w.rows() * w.cols() >= kParallelFusedMinOps)
+        if (cur.rows() * w.rows() * w.cols() >= kernels::kParallelDenseMinOps)
             parallel::parallel_for(cur.rows(), row_range);
         else
             row_range(0, cur.rows());

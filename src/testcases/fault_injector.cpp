@@ -12,19 +12,7 @@ namespace nofis::testcases {
 
 FaultInjector::FaultInjector(const estimators::RareEventProblem& inner,
                              FaultInjectorConfig cfg)
-    : inner_(&inner), cfg_(cfg) {
-    if (cfg_.io_enospc_rate > 0.0 || cfg_.io_torn_write_rate > 0.0 ||
-        cfg_.io_corrupt_rate > 0.0 || cfg_.io_short_read_rate > 0.0) {
-        util::IoFaultConfig io_cfg;
-        io_cfg.enospc_rate = cfg_.io_enospc_rate;
-        io_cfg.torn_write_rate = cfg_.io_torn_write_rate;
-        io_cfg.corrupt_rate = cfg_.io_corrupt_rate;
-        io_cfg.short_read_rate = cfg_.io_short_read_rate;
-        io_cfg.seed = cfg_.seed;
-        io_ = std::make_unique<util::IoFaultInjector>(io_cfg);
-        io_install_ = std::make_unique<util::ScopedIoFaultInjector>(io_.get());
-    }
-}
+    : inner_(&inner), cfg_(cfg) {}
 
 FaultInjector::Inject FaultInjector::decide(std::size_t index) const noexcept {
     if (index >= cfg_.nan_burst_begin && index < cfg_.nan_burst_end)

@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "estimators/problem.hpp"
-#include "util/io_fault.hpp"
 
 namespace nofis::testcases {
 
@@ -30,17 +28,6 @@ struct FaultInjectorConfig {
     std::size_t nan_burst_end = 0;
 
     bool affect_grad = true;  ///< also inject into g_grad calls
-
-    /// Deterministic I/O faults (DESIGN.md §12): while the FaultInjector is
-    /// alive and any rate is nonzero, a util::IoFaultInjector with these
-    /// rates is installed process-globally, so every durable write path
-    /// (checkpoint snapshots, evalcache disk appends, atomic metrics/model
-    /// writes) and disk-tier read sees injected ENOSPC / torn-write /
-    /// bit-flip / short-read faults keyed purely on (seed, I/O op index).
-    double io_enospc_rate = 0.0;
-    double io_torn_write_rate = 0.0;
-    double io_corrupt_rate = 0.0;
-    double io_short_read_rate = 0.0;
 };
 
 /// Test double for the fault-tolerant runtime: wraps any RareEventProblem
@@ -99,11 +86,6 @@ public:
         return injected_nan() + injected_inf() + injected_throws();
     }
 
-    /// The process-global I/O fault injector owned by this FaultInjector
-    /// (null when every io_* rate is zero). Tests read its ledger to check
-    /// the durable-write paths saw exactly the faults they recovered from.
-    util::IoFaultInjector* io_injector() const noexcept { return io_.get(); }
-
 private:
     /// Outcome decided purely from (seed, index).
     enum class Inject { kNone, kNan, kThrow, kInf, kLatency };
@@ -119,8 +101,6 @@ private:
 
     const estimators::RareEventProblem* inner_;
     FaultInjectorConfig cfg_;
-    std::unique_ptr<util::IoFaultInjector> io_;
-    std::unique_ptr<util::ScopedIoFaultInjector> io_install_;
     mutable std::atomic<std::size_t> calls_{0};
     mutable std::atomic<std::size_t> nan_{0};
     mutable std::atomic<std::size_t> thrown_singular_{0};

@@ -786,10 +786,11 @@ TEST_F(CheckpointResumeTest, InjectedEnospcOnCacheLogNeverChangesEstimate) {
 
     // Every durable cache append fails with ENOSPC; the run must shrug —
     // identical bits, only the durability counter moves.
-    testcases::FaultInjectorConfig fault_cfg;
-    fault_cfg.io_enospc_rate = 1.0;
-    fault_cfg.seed = 0x10ULL;
-    testcases::FaultInjector faulty(inner, fault_cfg);
+    util::IoFaultConfig io_cfg;
+    io_cfg.enospc_rate = 1.0;
+    io_cfg.seed = 0x10ULL;
+    util::IoFaultInjector io(io_cfg);
+    util::ScopedIoFaultInjector install(&io);
 
     NofisConfig cfg = tiny_config();
     evalcache::CacheConfig cc;
@@ -797,13 +798,12 @@ TEST_F(CheckpointResumeTest, InjectedEnospcOnCacheLogNeverChangesEstimate) {
     cfg.cache = std::make_shared<evalcache::EvalCache>(cc);
     cfg.cache_key = "enospc#d2";
     rng::Engine eng(7);
-    const auto degraded = NofisEstimator(cfg, tiny_levels()).run(faulty, eng);
+    const auto degraded = NofisEstimator(cfg, tiny_levels()).run(inner, eng);
 
     EXPECT_EQ(bits(degraded.estimate.p_hat), bits(reference.estimate.p_hat));
     EXPECT_EQ(degraded.estimate.calls, reference.estimate.calls);
     EXPECT_GT(cfg.cache->stats().disk_errors, 0u);
-    ASSERT_NE(faulty.io_injector(), nullptr);
-    EXPECT_GT(faulty.io_injector()->injected_enospc(), 0u);
+    EXPECT_GT(io.injected_enospc(), 0u);
 }
 
 }  // namespace

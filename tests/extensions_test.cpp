@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "estimators/line_sampling.hpp"
 #include "flow/serialize.hpp"
@@ -118,6 +119,35 @@ TEST_P(SerializeVariant, RoundTripPreservesDensitiesExactly) {
         EXPECT_DOUBLE_EQ(lp_orig[r], lp_load[r]);
 }
 
+TEST_P(SerializeVariant, TallyMatchesTheBuiltStack) {
+    // stack_tally counts from the config alone what the constructor
+    // builds: even and odd dims, an odd coupling count (the masks
+    // alternate), with and without hidden layers.
+    const auto [kind, actnorm] = GetParam();
+    for (std::size_t dim : {2ul, 5ul, 6ul}) {
+        for (const std::vector<std::size_t>& hidden :
+             {std::vector<std::size_t>{}, std::vector<std::size_t>{7, 3}}) {
+            flow::StackConfig cfg;
+            cfg.dim = dim;
+            cfg.num_blocks = 3;
+            cfg.layers_per_block = 3;
+            cfg.hidden = hidden;
+            cfg.coupling = kind;
+            cfg.use_actnorm = actnorm;
+            cfg.rqs_bins = 5;
+            rng::Engine eng(8);
+            const flow::CouplingStack stack(cfg, eng);
+            const auto params = stack.params();
+            std::size_t values = 0;
+            for (const auto& p : params) values += p.value().size();
+            const flow::StackTally tally = flow::stack_tally(cfg);
+            EXPECT_EQ(tally.layers, stack.scale_caps().size()) << dim;
+            EXPECT_EQ(tally.tensors, params.size()) << dim;
+            EXPECT_EQ(tally.values, values) << dim;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kinds, SerializeVariant,
     ::testing::Combine(::testing::Values(flow::CouplingKind::kAffine,
@@ -197,6 +227,43 @@ TEST(Serialize, RqsHeaderIsValidated) {
         std::istringstream is(text);
         EXPECT_THROW(flow::load_stack(is), std::runtime_error) << text;
     }
+}
+
+/// Loads `text` and expects a structured error that contains `reason`.
+void expect_header_rejected(const char* text, const char* reason) {
+    std::istringstream is(text);
+    try {
+        flow::load_stack(is);
+        ADD_FAILURE() << "loaded " << text;
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("flow serialisation: ", 0), 0u) << what;
+        EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+}
+
+// Each header field below passes its own bound; what they imply together
+// is checked before the stack is built.
+
+TEST(Serialize, WideHeaderIsRejectedBeforeAllocating) {
+    // One coupling of dim 2^20 with a 2^20-wide hidden layer: 1.6e12
+    // values, refused before any is allocated.
+    expect_header_rejected(
+        "nofisflow-v1\n1048576 1 1 2 affine 0\n1 1048576\n",
+        "implausible parameter value count");
+}
+
+TEST(Serialize, DeepHeaderIsRejectedBeforeBuilding) {
+    // 4096 x 4096 couplings: 16.7M layers, refused before any is built.
+    expect_header_rejected("nofisflow-v1\n2 4096 4096 2 affine 0\n0\n",
+                           "implausible layer count");
+}
+
+TEST(Serialize, OneDimHeaderIsAStructuredError) {
+    // No coupling accepts dim 1, and the file must say so in its own
+    // error, not the layer constructor's std::invalid_argument.
+    expect_header_rejected("nofisflow-v1\n1 1 1 2 affine 0\n0\n",
+                           "implausible dim 1");
 }
 
 TEST(Serialize, SamplingMatchesAfterRoundTrip) {

@@ -209,18 +209,23 @@ std::vector<std::pair<const detail::Table*, const char*>> backend_tables() {
 }
 
 TEST(KernelProperty, MatmulRowsBitwiseMatchesScalar) {
+    // The rows of Matrix::matmul: the dense layer with a zero bias and no
+    // activation, both operands poisoned.
     const detail::Table& ref = detail::scalar_table();
     for (const auto& [table, name] : backend_tables()) {
         for (const Shape& s : kShapes) {
             for (bool poison : {false, true}) {
                 const Matrix lhs = filled(s.m, s.k, 7 * s.m + s.n, poison);
                 const Matrix rhs = filled(s.k, s.n, 3 * s.k + 1, poison);
+                const std::vector<double> zero(s.n, 0.0);
                 Matrix want(s.m, s.n);
                 Matrix got(s.m, s.n);
-                ref.matmul_rows(lhs.data(), rhs.data(), want.data(), 0, s.m,
-                                s.k, s.n);
-                table->matmul_rows(lhs.data(), rhs.data(), got.data(), 0, s.m,
-                                   s.k, s.n);
+                ref.linear_act_rows(lhs.data(), rhs.data(), zero.data(),
+                                    want.data(), 0, s.m, s.k, s.n,
+                                    kernels::Act::kNone);
+                table->linear_act_rows(lhs.data(), rhs.data(), zero.data(),
+                                       got.data(), 0, s.m, s.k, s.n,
+                                       kernels::Act::kNone);
                 EXPECT_TRUE(bitwise_equal(want, got))
                     << name << " " << s.m << "x" << s.k << "x" << s.n
                     << (poison ? " poisoned" : "");
@@ -311,17 +316,6 @@ TEST(KernelProperty, AffineKernelsBitwiseMatchScalar) {
                             << " parts=" << parts;
                     }
                 }
-            }
-            const Matrix scale = filled(1, dim, 2 * dim);
-            const Matrix shift = filled(1, dim, 2 * dim + 1);
-            Matrix want(rows, dim);
-            ref.scale_shift_rows(x.data(), scale.data(), shift.data(),
-                                 want.data(), dim, 0, rows);
-            for (const auto& [table, name] : backend_tables()) {
-                Matrix got(rows, dim);
-                table->scale_shift_rows(x.data(), scale.data(), shift.data(),
-                                        got.data(), dim, 0, rows);
-                EXPECT_TRUE(bitwise_equal(want, got)) << name << " " << dim;
             }
         }
     }
@@ -632,14 +626,9 @@ TEST(KernelDispatch, EveryTableIsComplete) {
     tables.emplace_back(&detail::scalar_table(), "scalar");
     for (const auto& [t, name] : tables) {
         const std::pair<bool, const char*> slots[] = {
-            {t->matmul_rows != nullptr, "matmul_rows"},
             {t->linear_act_rows != nullptr, "linear_act_rows"},
             {t->affine_fwd_rows != nullptr, "affine_fwd_rows"},
             {t->affine_inv_rows != nullptr, "affine_inv_rows"},
-            {t->scale_shift_rows != nullptr, "scale_shift_rows"},
-            {t->rqs_fwd_rows != nullptr, "rqs_fwd_rows"},
-            {t->rqs_inv_rows != nullptr, "rqs_inv_rows"},
-            {t->rqs_bwd_rows != nullptr, "rqs_bwd_rows"},
             {t->ew_add != nullptr, "ew_add"},
             {t->ew_sub != nullptr, "ew_sub"},
             {t->ew_mul != nullptr, "ew_mul"},
@@ -849,6 +838,99 @@ TEST(KernelMath, AffineBitsArePinned) {
         }
         EXPECT_EQ(fwd, 0xa031bc1e44ee878cULL) << name;
         EXPECT_EQ(inv, 0x9e1e3cdb0852fe7fULL) << name;
+    }
+}
+
+/// One operand pair of the dense-product golden: exact uniforms with NaNs
+/// of both signs and payloads, ±inf, signed zeros and subnormals.
+struct ProductCase {
+    Shape s;
+    Matrix a, b;
+};
+
+std::vector<ProductCase> poisoned_products() {
+    // The property sweep plus the conditioner products of training:
+    // Leaf's one-column input, the weight gradients and YBranch's 13-wide
+    // input; 32x50x32 crosses the parallel threshold.
+    std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+    for (const Shape s : {Shape{1, 50, 32}, Shape{50, 1, 32},
+                          Shape{50, 32, 2}, Shape{32, 50, 32},
+                          Shape{13, 20, 32}})
+        shapes.push_back(s);
+    const double specials[] = {from_bits(0x7ff8000000000123ULL),
+                               from_bits(0xfff800000000abcdULL),
+                               kInf,
+                               -kInf,
+                               0.0,
+                               -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               -2.2e-310};
+    std::vector<ProductCase> cases;
+    for (std::uint64_t i = 0; i < shapes.size(); ++i) {
+        const Shape& s = shapes[i];
+        Matrix a(s.m, s.k), b(s.k, s.n);
+        for (std::size_t j = 0; j < a.size(); ++j)
+            a.flat()[j] = exact_uniform(71 + i, j, 2.0);
+        for (std::size_t j = 0; j < b.size(); ++j)
+            b.flat()[j] = exact_uniform(81 + i, j, 2.0);
+        for (std::size_t k = 0; k < std::size(specials); ++k) {
+            if (a.size() > 0) a.flat()[(5 * k + i) % a.size()] = specials[k];
+            if (b.size() > 0)
+                b.flat()[(3 * k + 2 * i) % b.size()] =
+                    specials[(k + 3) % std::size(specials)];
+        }
+        cases.push_back({s, std::move(a), std::move(b)});
+    }
+    return cases;
+}
+
+/// FNV-1a of the outputs' bit patterns, continuing from `hash`, with every
+/// NaN hashed as one canonical NaN. Which NaN survives where two NaNs of
+/// different sign or payload meet in one sum is the compiler's choice of
+/// operand order, not the algorithm's, and it differs between backends.
+std::uint64_t bits_hash_nan_as_one(const Matrix& m, std::uint64_t hash) {
+    for (const double v : m.flat()) {
+        const double c = std::isnan(v) ? kNaN : v;
+        hash = util::fnv1a64(&c, sizeof c, hash);
+    }
+    return hash;
+}
+
+TEST(KernelMath, MatmulBitsArePinned) {
+    // Golden hash of the dense products over poisoned_products(), taken
+    // from Matrix::matmul and from every table's separate matmul kernel in
+    // the build before the product moved onto the zero-bias dense layer
+    // (all five agreed). Pins every finite bit, signed zero, infinity and
+    // subnormal, and which outputs are NaN.
+    constexpr std::uint64_t kGolden = 0x045bc3287396c657ULL;
+    ConfigGuard guard;
+    const std::vector<ProductCase> cases = poisoned_products();
+    std::vector<std::pair<const detail::Table*, const char*>> tables =
+        backend_tables();
+    tables.emplace_back(&detail::scalar_table(), "scalar");
+    for (const auto& [table, name] : tables) {
+        std::uint64_t hash = util::kFnv1aBasis;
+        for (const ProductCase& c : cases) {
+            const std::vector<double> zero(c.s.n, 0.0);
+            Matrix out(c.s.m, c.s.n);
+            table->linear_act_rows(c.a.data(), c.b.data(), zero.data(),
+                                   out.data(), 0, c.s.m, c.s.k, c.s.n,
+                                   kernels::Act::kNone);
+            hash = bits_hash_nan_as_one(out, hash);
+        }
+        EXPECT_EQ(hash, kGolden) << name;
+    }
+    for (kernels::Choice choice :
+         {kernels::Choice::kScalar, kernels::Choice::kSimd}) {
+        kernels::set_choice(choice);
+        for (std::size_t threads : {1ul, 4ul}) {
+            parallel::set_num_threads(threads);
+            std::uint64_t hash = util::kFnv1aBasis;
+            for (const ProductCase& c : cases)
+                hash = bits_hash_nan_as_one(c.a.matmul(c.b), hash);
+            EXPECT_EQ(hash, kGolden)
+                << kernels::choice_name() << " t=" << threads;
+        }
     }
 }
 
