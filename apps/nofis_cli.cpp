@@ -404,6 +404,15 @@ int cmd_info(int argc, char** argv) {
     for (std::size_t h : info.hidden) std::printf(" %zu", h);
     std::printf("\n");
     std::printf("scale_cap: %g\n", info.scale_cap);
+    // Layers a stage rollback tightened trained under their own caps.
+    if (std::any_of(info.scale_caps.begin(), info.scale_caps.end(),
+                    [&](double cap) {
+                        return cap != 0.0 && cap != info.scale_cap;
+                    })) {
+        std::printf("scale_caps:");
+        for (double cap : info.scale_caps) std::printf(" %g", cap);
+        std::printf("\n");
+    }
     std::printf("params: %zu tensors, %zu values\n", info.param_tensors,
                 info.param_values);
     return 0;

@@ -7,6 +7,7 @@
 // saving, loading and serving a trained flow spend on numbers.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <sstream>
@@ -300,39 +301,14 @@ void BM_CouplingForward(benchmark::State& state) {
 }
 BENCHMARK(BM_CouplingForward)->Arg(2)->Arg(16)->Arg(62);
 
-void BM_FlowSampleWithLogProb(benchmark::State& state) {
-    rng::Engine eng(4);
+// A proposal shaped like a trained one (M x 8 affine couplings, hidden
+// 32-32) with every parameter non-zero, as after training: Leaf's is 2-D
+// with 6 blocks, YBranch's 26-D with 5 blocks (94,480 parameters).
+flow::CouplingStack trained_shaped_stack(std::size_t dim,
+                                         std::size_t blocks) {
     flow::StackConfig cfg;
-    cfg.dim = 16;
-    cfg.num_blocks = 5;
-    cfg.layers_per_block = 8;
-    flow::CouplingStack stack(cfg, eng);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(stack.sample(eng, 100, 5));
-    }
-    state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_FlowSampleWithLogProb);
-
-void BM_FlowInverseLogProb(benchmark::State& state) {
-    rng::Engine eng(5);
-    flow::StackConfig cfg;
-    cfg.dim = 16;
-    cfg.num_blocks = 5;
-    cfg.layers_per_block = 8;
-    flow::CouplingStack stack(cfg, eng);
-    const auto s = stack.sample(eng, 100, 5);
-    for (auto _ : state) benchmark::DoNotOptimize(stack.log_prob(s.z, 5));
-    state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK(BM_FlowInverseLogProb);
-
-// A YBranch-shaped proposal (26-D, 5 x 8 affine couplings, hidden 32-32:
-// 94,480 parameters) with every parameter non-zero, as after training.
-flow::CouplingStack ybranch_shaped_stack() {
-    flow::StackConfig cfg;
-    cfg.dim = 26;
-    cfg.num_blocks = 5;
+    cfg.dim = dim;
+    cfg.num_blocks = blocks;
     cfg.layers_per_block = 8;
     rng::Engine eng(7);
     flow::CouplingStack stack(cfg, eng);
@@ -342,10 +318,55 @@ flow::CouplingStack ybranch_shaped_stack() {
     return stack;
 }
 
+/// Minor page faults of the process so far.
+double minor_faults() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_minflt);
+}
+
+// The value path at final-IS and serving batch sizes, one lane. Arg 0 is
+// the shape (0 = Leaf, 1 = YBranch), Arg 1 the rows. The `minflt` counter
+// is minor page faults per call: what batch-sized temporaries cost.
+void BM_StackSample(benchmark::State& state) {
+    parallel::set_num_threads(1);
+    const auto stack = state.range(0) == 0 ? trained_shaped_stack(2, 6)
+                                           : trained_shaped_stack(26, 5);
+    const auto n = static_cast<std::size_t>(state.range(1));
+    rng::Engine eng(4);
+    const double faults = minor_faults();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(stack.sample(eng, n, stack.num_blocks()));
+    state.counters["minflt"] = benchmark::Counter(
+        minor_faults() - faults, benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_StackSample)
+    ->ArgsProduct({{0, 1}, {64, 500, 2000}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_StackLogProb(benchmark::State& state) {
+    parallel::set_num_threads(1);
+    const auto stack = state.range(0) == 0 ? trained_shaped_stack(2, 6)
+                                           : trained_shaped_stack(26, 5);
+    const auto n = static_cast<std::size_t>(state.range(1));
+    rng::Engine eng(5);
+    const auto x = stack.sample(eng, n, stack.num_blocks()).z;
+    const double faults = minor_faults();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(stack.log_prob(x, stack.num_blocks()));
+    state.counters["minflt"] = benchmark::Counter(
+        minor_faults() - faults, benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_StackLogProb)
+    ->ArgsProduct({{0, 1}, {64, 500, 2000}})
+    ->Unit(benchmark::kMillisecond);
+
 // `.nofisflow` save and load through a string stream, so the disk stays
 // out: items are parameters.
 void BM_SaveStack(benchmark::State& state) {
-    const auto stack = ybranch_shaped_stack();
+    const auto stack = trained_shaped_stack(26, 5);
     for (auto _ : state) {
         std::ostringstream os;
         flow::save_stack(stack, os);
@@ -357,7 +378,7 @@ void BM_SaveStack(benchmark::State& state) {
 BENCHMARK(BM_SaveStack)->Unit(benchmark::kMillisecond);
 
 void BM_LoadStack(benchmark::State& state) {
-    const auto stack = ybranch_shaped_stack();
+    const auto stack = trained_shaped_stack(26, 5);
     std::ostringstream os;
     flow::save_stack(stack, os);
     const std::string text = os.str();

@@ -4,18 +4,11 @@
 #include <stdexcept>
 
 #include "linalg/kernels/kernels.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace nofis::flow {
 
 namespace {
-
 namespace kernels = linalg::kernels;
-
-/// Transformed elements below this count run inline; each element costs a
-/// tanh + exp, so the bar is much lower than the matmul threshold.
-constexpr std::size_t kParallelAffineMinElems = 1u << 12;
-
 }  // namespace
 
 AffineCoupling::AffineCoupling(std::size_t dim, bool pass_first_half,
@@ -63,15 +56,9 @@ linalg::Matrix AffineCoupling::forward_values(
     const std::size_t nb = mask_.transform.size();
     const linalg::Matrix h = net_.predict(x.select_cols(mask_.pass));
     linalg::Matrix y = x;
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::affine_fwd_rows(x.data(), h.data(), mask_.transform.data(), nb,
-                                 scale_cap_, mask_.dim, y.data(),
-                                 log_det.data(), r0, r1);
-    };
-    if (x.rows() * nb >= kParallelAffineMinElems)
-        parallel::parallel_for(x.rows(), row_range);
-    else
-        row_range(0, x.rows());
+    kernels::affine_fwd_rows(x.data(), h.data(), mask_.transform.data(), nb,
+                             scale_cap_, mask_.dim, y.data(), log_det.data(), 0,
+                             x.rows());
     return y;
 }
 
@@ -86,15 +73,9 @@ linalg::Matrix AffineCoupling::inverse_values(
     const std::size_t nb = mask_.transform.size();
     const linalg::Matrix h = net_.predict(y.select_cols(mask_.pass));
     linalg::Matrix x = y;
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::affine_inv_rows(y.data(), h.data(), mask_.transform.data(), nb,
-                                 scale_cap_, mask_.dim, x.data(),
-                                 log_det.data(), r0, r1);
-    };
-    if (y.rows() * nb >= kParallelAffineMinElems)
-        parallel::parallel_for(y.rows(), row_range);
-    else
-        row_range(0, y.rows());
+    kernels::affine_inv_rows(y.data(), h.data(), mask_.transform.data(), nb,
+                             scale_cap_, mask_.dim, x.data(), log_det.data(), 0,
+                             y.rows());
     return x;
 }
 

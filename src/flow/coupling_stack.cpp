@@ -1,8 +1,10 @@
 #include "flow/coupling_stack.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
+#include "parallel/thread_pool.hpp"
 #include "rng/normal.hpp"
 
 namespace nofis::flow {
@@ -129,15 +131,12 @@ CouplingStack::Samples CouplingStack::transport(const linalg::Matrix& z0,
                                                 std::size_t upto_block) const {
     if (upto_block > cfg_.num_blocks)
         throw std::invalid_argument("CouplingStack::transport: bad blocks");
-    Samples out;
-    out.log_q.assign(z0.rows(), 0.0);
     // log q(z_mK) = log q0(z0) - Σ log|det J| (Eq. 5).
-    std::vector<double> base_lp = base_log_pdf(z0);
+    Samples out;
+    out.log_q = base_log_pdf(z0);
     std::vector<double> log_det(z0.rows(), 0.0);
-    linalg::Matrix z = transport_range(z0, 0, upto_block, log_det);
-    for (std::size_t r = 0; r < z0.rows(); ++r)
-        out.log_q[r] = base_lp[r] - log_det[r];
-    out.z = std::move(z);
+    out.z = transport_range(z0, 0, upto_block, log_det);
+    for (std::size_t r = 0; r < z0.rows(); ++r) out.log_q[r] -= log_det[r];
     return out;
 }
 
@@ -146,24 +145,32 @@ linalg::Matrix CouplingStack::transport_range(
     std::vector<double>& log_det) const {
     if (block_begin > block_end || block_end > cfg_.num_blocks)
         throw std::invalid_argument("CouplingStack::transport_range: range");
-    linalg::Matrix z = z0;
-    for (std::size_t i = block_begin_layer(block_begin);
-         i < block_begin_layer(block_end); ++i)
-        z = layers_[i]->forward_values(z, log_det);
+    linalg::Matrix z;
+    for_each_block("transport_range", z0, &log_det, &z,
+                   [&](linalg::Matrix& rows, std::vector<double>& ld) {
+                       forward_layers(rows, ld, block_begin_layer(block_begin),
+                                      block_begin_layer(block_end));
+                   });
     return z;
 }
 
 std::vector<double> CouplingStack::log_prob(const linalg::Matrix& x,
                                             std::size_t upto_block) const {
-    const linalg::Matrix z0 = inverse(x, upto_block);
-    // Recompute the forward log-det along the reconstructed path.
-    std::vector<double> log_det(x.rows(), 0.0);
-    linalg::Matrix z = z0;
+    if (upto_block > cfg_.num_blocks)
+        throw std::invalid_argument("CouplingStack::log_prob: bad blocks");
     const std::size_t n_layers = block_begin_layer(upto_block);
-    for (std::size_t i = 0; i < n_layers; ++i)
-        z = layers_[i]->forward_values(z, log_det);
-    std::vector<double> out = base_log_pdf(z0);
-    for (std::size_t r = 0; r < x.rows(); ++r) out[r] -= log_det[r];
+    std::vector<double> out(x.rows(), 0.0);
+    for_each_block("log_prob", x, &out, nullptr,
+                   [&](linalg::Matrix& z, std::vector<double>& log_q) {
+                       std::vector<double> scratch(z.rows(), 0.0);
+                       inverse_layers(z, scratch, n_layers);
+                       const std::vector<double> base_lp = base_log_pdf(z);
+                       // Recompute the forward log-det along the
+                       // reconstructed path (log_q holds zeros so far).
+                       forward_layers(z, log_q, 0, n_layers);
+                       for (std::size_t r = 0; r < z.rows(); ++r)
+                           log_q[r] = base_lp[r] - log_q[r];
+                   });
     return out;
 }
 
@@ -181,11 +188,59 @@ linalg::Matrix CouplingStack::inverse(const linalg::Matrix& x,
                                       std::size_t upto_block) const {
     if (upto_block > cfg_.num_blocks)
         throw std::invalid_argument("CouplingStack::inverse: bad blocks");
-    std::vector<double> scratch(x.rows(), 0.0);
-    linalg::Matrix z = x;
-    for (std::size_t i = block_begin_layer(upto_block); i-- > 0;)
-        z = layers_[i]->inverse_values(z, scratch);
+    linalg::Matrix z;
+    for_each_block("inverse", x, nullptr, &z,
+                   [&](linalg::Matrix& rows, std::vector<double>& scratch) {
+                       inverse_layers(rows, scratch,
+                                      block_begin_layer(upto_block));
+                   });
     return z;
+}
+
+void CouplingStack::for_each_block(const char* who, const linalg::Matrix& x,
+                                   std::vector<double>* log_det,
+                                   linalg::Matrix* out,
+                                   const BlockPass& pass) const {
+    const std::size_t n = x.rows();
+    const std::size_t d = cfg_.dim;
+    if (x.cols() != d)
+        throw std::invalid_argument(std::string("CouplingStack::") + who +
+                                    ": dimension mismatch");
+    if (log_det && log_det->size() != n)
+        throw std::invalid_argument(std::string("CouplingStack::") + who +
+                                    ": log_det size mismatch");
+    if (out) *out = linalg::Matrix(n, d);
+    const std::size_t blocks = (n + kValueBlockRows - 1) / kValueBlockRows;
+    parallel::parallel_for(blocks, [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b) {
+            const std::size_t r0 = b * kValueBlockRows;
+            const std::size_t r1 = std::min(n, r0 + kValueBlockRows);
+            linalg::Matrix z = x.rows_slice(r0, r1);
+            std::vector<double> ld(r1 - r0, 0.0);
+            if (log_det)
+                std::copy(log_det->begin() + r0, log_det->begin() + r1,
+                          ld.begin());
+            pass(z, ld);
+            if (out)
+                std::copy(z.flat().begin(), z.flat().end(),
+                          out->data() + r0 * d);
+            if (log_det) std::copy(ld.begin(), ld.end(), log_det->begin() + r0);
+        }
+    });
+}
+
+void CouplingStack::forward_layers(linalg::Matrix& z,
+                                   std::vector<double>& log_det,
+                                   std::size_t first, std::size_t last) const {
+    for (std::size_t i = first; i < last; ++i)
+        z = layers_[i]->forward_values(z, log_det);
+}
+
+void CouplingStack::inverse_layers(linalg::Matrix& z,
+                                   std::vector<double>& log_det,
+                                   std::size_t last) const {
+    for (std::size_t i = last; i-- > 0;)
+        z = layers_[i]->inverse_values(z, log_det);
 }
 
 std::vector<autodiff::Var> CouplingStack::block_params(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,6 +94,12 @@ public:
                              std::size_t block_end) const;
 
     // --- value paths (sampling / density) ------------------------------------
+    /// Rows per block of the value paths. Every value path pushes its batch
+    /// through the layers one block at a time, so no per-layer temporary
+    /// grows with the batch; a multiple of 4, so every full block runs the
+    /// four-row dense tiles.
+    static constexpr std::size_t kValueBlockRows = 64;
+
     struct Samples {
         linalg::Matrix z;                ///< (n x D) samples of q_{mK}
         std::vector<double> log_q;       ///< exact log q_{mK}(z) per sample
@@ -106,7 +113,8 @@ public:
     Samples transport(const linalg::Matrix& z0, std::size_t upto_block) const;
 
     /// Value-only transport through blocks [block_begin, block_end);
-    /// accumulates per-row forward log|det J| into `log_det`.
+    /// accumulates per-row forward log|det J| into `log_det`. Throws
+    /// std::invalid_argument unless z is n x dim and log_det has n entries.
     linalg::Matrix transport_range(const linalg::Matrix& z,
                                    std::size_t block_begin,
                                    std::size_t block_end,
@@ -155,6 +163,27 @@ private:
     }
     /// log q_0 = log N(0, I) of every row of base-space points `z0`.
     std::vector<double> base_log_pdf(const linalg::Matrix& z0) const;
+
+    /// One block's rows and their log-det slice, transformed in place.
+    using BlockPass =
+        std::function<void(linalg::Matrix& z, std::vector<double>& log_det)>;
+    /// The value paths' one loop and their one fork. Throws
+    /// std::invalid_argument naming `who` unless x is n x dim and `log_det`
+    /// (if given) has n entries. Then, over kValueBlockRows-row blocks
+    /// spread across the pool, copies each block's rows and log-det slice
+    /// (zeros without `log_det`), runs `pass` on the copies, and writes them
+    /// back to the same rows of `log_det` and of `out` (if given; sized
+    /// n x dim here). Rows are independent and each block writes only its
+    /// own, so no bit depends on the block size or lane count (§8.2).
+    void for_each_block(const char* who, const linalg::Matrix& x,
+                        std::vector<double>* log_det, linalg::Matrix* out,
+                        const BlockPass& pass) const;
+    /// Runs physical layers [first, last) forward over one block.
+    void forward_layers(linalg::Matrix& z, std::vector<double>& log_det,
+                        std::size_t first, std::size_t last) const;
+    /// Inverts physical layers [0, last) over one block, last layer first.
+    void inverse_layers(linalg::Matrix& z, std::vector<double>& log_det,
+                        std::size_t last) const;
 
     StackConfig cfg_;
     std::size_t layers_per_physical_block_;

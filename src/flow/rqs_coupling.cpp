@@ -4,19 +4,11 @@
 #include <stdexcept>
 
 #include "linalg/kernels/kernels.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace nofis::flow {
 
 namespace {
-
 namespace kernels = linalg::kernels;
-
-/// Transformed elements below this count run inline. Each element costs an
-/// O(num_bins) knot build plus two logs — heavier than the affine
-/// tanh+exp — so the bar sits below kParallelAffineMinElems.
-constexpr std::size_t kParallelRqsMinElems = 1u << 10;
-
 }  // namespace
 
 RqsCoupling::RqsCoupling(std::size_t dim, bool pass_first_half,
@@ -60,15 +52,9 @@ linalg::Matrix RqsCoupling::forward_values(
     const std::size_t nb = mask_.transform.size();
     const linalg::Matrix h = net_.predict(x.select_cols(mask_.pass));
     linalg::Matrix y = x;
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::rqs_fwd_rows(x.data(), h.data(), mask_.transform.data(), nb,
-                              num_bins_, tail_bound_, mask_.dim, y.data(),
-                              log_det.data(), r0, r1);
-    };
-    if (x.rows() * nb >= kParallelRqsMinElems)
-        parallel::parallel_for(x.rows(), row_range);
-    else
-        row_range(0, x.rows());
+    kernels::rqs_fwd_rows(x.data(), h.data(), mask_.transform.data(), nb,
+                          num_bins_, tail_bound_, mask_.dim, y.data(),
+                          log_det.data(), 0, x.rows());
     return y;
 }
 
@@ -83,15 +69,9 @@ linalg::Matrix RqsCoupling::inverse_values(
     const std::size_t nb = mask_.transform.size();
     const linalg::Matrix h = net_.predict(y.select_cols(mask_.pass));
     linalg::Matrix x = y;
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::rqs_inv_rows(y.data(), h.data(), mask_.transform.data(), nb,
-                              num_bins_, tail_bound_, mask_.dim, x.data(),
-                              log_det.data(), r0, r1);
-    };
-    if (y.rows() * nb >= kParallelRqsMinElems)
-        parallel::parallel_for(y.rows(), row_range);
-    else
-        row_range(0, y.rows());
+    kernels::rqs_inv_rows(y.data(), h.data(), mask_.transform.data(), nb,
+                          num_bins_, tail_bound_, mask_.dim, x.data(),
+                          log_det.data(), 0, y.rows());
     return x;
 }
 

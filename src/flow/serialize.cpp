@@ -4,6 +4,7 @@
 #include <fstream>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/kernels/kernels.hpp"
 #include "util/atomic_file.hpp"
@@ -12,7 +13,10 @@
 namespace nofis::flow {
 
 namespace {
-constexpr const char* kMagic = "nofisflow-v1";
+constexpr const char* kMagic = "nofisflow-v2";
+/// The format before per-layer scale caps: it loads with every layer at
+/// the header's cap.
+constexpr const char* kMagicV1 = "nofisflow-v1";
 
 // Sanity bounds on the header of a loaded file. A truncated or corrupt
 // stream can otherwise hand the architecture constructor absurd sizes and
@@ -107,6 +111,12 @@ void save_stack(const CouplingStack& stack, std::ostream& os) {
     os << cfg.hidden.size();
     for (auto h : cfg.hidden) os << ' ' << h;
     os << '\n';
+    // A stage rollback tightens one block's caps, so the header's one cap
+    // does not describe a trained stack: every layer's cap follows it.
+    const std::vector<double> caps = stack.scale_caps();
+    os << caps.size();
+    write_doubles(os, caps);
+    os << '\n';
 
     const auto params = stack.params();
     os << params.size() << '\n';
@@ -130,7 +140,10 @@ void save_stack(const CouplingStack& stack, const std::string& path) {
 CouplingStack load_stack(std::istream& is) {
     std::string magic;
     is >> magic;
-    if (magic != kMagic) fail("bad magic (expected " + std::string(kMagic) + ")");
+    const bool v1 = magic == kMagicV1;
+    if (!v1 && magic != kMagic)
+        fail("bad magic (expected " + std::string(kMagic) + " or " +
+             kMagicV1 + ")");
 
     StackConfig cfg;
     std::string kind;
@@ -173,6 +186,21 @@ CouplingStack load_stack(std::istream& is) {
                 kMaxParamMatrices);
     check_bound("parameter value count", tally.values, 1, kMaxParamValues);
 
+    std::vector<double> caps;
+    if (!v1) {
+        std::size_t cap_count = 0;
+        is >> cap_count;
+        if (!is) fail("truncated scale caps");
+        if (cap_count != tally.layers)
+            fail("scale cap count mismatch (file " + std::to_string(cap_count) +
+                 ", architecture " + std::to_string(tally.layers) + ")");
+        caps.resize(cap_count);
+        for (double& cap : caps) {
+            cap = read_double(is, "scale caps");
+            if (cap < 0.0) fail("negative scale cap (corrupt file?)");
+        }
+    }
+
     std::size_t param_count = 0;
     is >> param_count;
     if (param_count != tally.tensors)
@@ -192,6 +220,7 @@ CouplingStack load_stack(std::istream& is) {
         for (double& v : p.mutable_value().flat())
             v = read_double(is, "parameters");
     }
+    if (!v1) stack.set_scale_caps(caps);
     return stack;
 }
 

@@ -8,12 +8,14 @@
 namespace nofis::flow {
 
 /// Text serialisation of a trained coupling stack ("*.nofisflow"): the
-/// StackConfig header followed by every parameter matrix in layer order,
-/// each value spelled "%.17g" by util::format_double, so it reloads bit
-/// for bit. A saved proposal can be reloaded in a later
-/// process and used for additional importance-sampling draws without
-/// retraining (see NofisEstimator::importance_estimate and the CLI's
-/// train/reuse commands).
+/// StackConfig header, every layer's scale cap (a stage rollback tightens
+/// one block's), then every parameter matrix in layer order, each value
+/// spelled "%.17g" by util::format_double, so it reloads bit for bit.
+/// save_stack writes "nofisflow-v2"; load_stack also reads "nofisflow-v1",
+/// which has no caps line, with every layer at the header's cap. A saved
+/// proposal can be reloaded in a later process and used for additional
+/// importance-sampling draws without retraining (see
+/// NofisEstimator::importance_estimate and the CLI's train/reuse commands).
 void save_stack(const CouplingStack& stack, std::ostream& os);
 void save_stack(const CouplingStack& stack, const std::string& path);
 

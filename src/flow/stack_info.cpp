@@ -14,6 +14,7 @@ StackInfo stack_info(const CouplingStack& stack) {
     info.use_actnorm = cfg.use_actnorm;
     info.hidden = cfg.hidden;
     info.scale_cap = cfg.scale_cap;
+    info.scale_caps = stack.scale_caps();
     if (cfg.coupling == CouplingKind::kRqs) {
         info.rqs_bins = cfg.rqs_bins;
         info.rqs_tail = cfg.rqs_tail;

@@ -18,6 +18,9 @@ struct StackInfo {
     bool use_actnorm = false;
     std::vector<std::size_t> hidden;
     double scale_cap = 0.0;
+    /// Every physical layer's log-scale bound (0 for layers without one);
+    /// a stage rollback leaves one block's below scale_cap.
+    std::vector<double> scale_caps;
     std::size_t rqs_bins = 0;   ///< spline bins (0 unless coupling == kRqs)
     double rqs_tail = 0.0;      ///< spline half-width (0 unless kRqs)
     std::size_t param_tensors = 0;  ///< parameter matrices in the stack

@@ -97,12 +97,12 @@ TEST(CodecGolden, SavedStackTextIsPinned) {
         std::uint64_t hash;
     };
     const Case cases[] = {
-        {flow::CouplingKind::kAffine, false, 0x064f8d5d238faa26},
-        {flow::CouplingKind::kAffine, true, 0xc755d22bd4fbac5c},
-        {flow::CouplingKind::kAdditive, false, 0x78c7545a8790b747},
-        {flow::CouplingKind::kAdditive, true, 0x1d955ba6c342e854},
-        {flow::CouplingKind::kRqs, false, 0xe40d340de58c6707},
-        {flow::CouplingKind::kRqs, true, 0x8f4f38c281693b58},
+        {flow::CouplingKind::kAffine, false, 0xb353d0a527112ec9},
+        {flow::CouplingKind::kAffine, true, 0x34f54d0d614a32e7},
+        {flow::CouplingKind::kAdditive, false, 0x01395de38e2f8c68},
+        {flow::CouplingKind::kAdditive, true, 0x765286cfe996f2d1},
+        {flow::CouplingKind::kRqs, false, 0x0ed2f71b360fb034},
+        {flow::CouplingKind::kRqs, true, 0x531fcc0f61c056a1},
     };
     for (const Case& c : cases) {
         const std::string text = saved_text(golden_stack(c.kind, c.actnorm));
@@ -120,7 +120,7 @@ TEST(CodecGolden, FreshStackTextIsPinned) {
     cfg.hidden = {8};
     rng::Engine init(5);
     const std::string text = saved_text(flow::CouplingStack(cfg, init));
-    EXPECT_EQ(fnv(text), 0x490ea4aff59f98d1ULL)
+    EXPECT_EQ(fnv(text), 0xbc13e8a1b48f31d0ULL)
         << std::hex << "0x" << fnv(text);
 }
 
@@ -358,9 +358,10 @@ TEST(JsonNumberPolicy, LenientSpellingsStillParseBitForBit) {
 std::string flow_text_with_first_value(const std::string& value) {
     std::string text =
         saved_text(golden_stack(flow::CouplingKind::kAffine, false, false));
-    // Line 4 holds the parameter count; line 5 is "rows cols v0 v1 ...".
+    // Line 4 holds the scale caps and line 5 the parameter count; line 6
+    // is "rows cols v0 v1 ...".
     std::size_t pos = 0;
-    for (int line = 0; line < 4; ++line) pos = text.find('\n', pos) + 1;
+    for (int line = 0; line < 5; ++line) pos = text.find('\n', pos) + 1;
     for (int field = 0; field < 2; ++field) pos = text.find(' ', pos) + 1;
     const std::size_t end = text.find(' ', pos);
     return text.replace(pos, end - pos, value);
@@ -489,13 +490,28 @@ std::string mutate(std::string text, rng::Engine& eng) {
 }
 
 TEST(CodecMutation, FlowFileMutationsLoadOrFailStructurally) {
-    const std::string text =
-        saved_text(golden_stack(flow::CouplingKind::kAffine, true, false));
+    auto stack = golden_stack(flow::CouplingKind::kAffine, true, false);
+    // Unequal per-layer caps, as a stage rollback leaves them.
+    stack.tighten_scale_cap(1, 0.7);
+    const std::string text = saved_text(stack);
+    // The caps line is the fourth.
+    std::size_t caps_begin = 0;
+    for (int line = 0; line < 3; ++line)
+        caps_begin = text.find('\n', caps_begin) + 1;
+    const std::size_t caps_end = text.find('\n', caps_begin);
     int loaded = 0;
     int rejected = 0;
+    int caps_mutated = 0;
     for (int i = 0; i < kMutations; ++i) {
         rng::Engine eng = rng::substream(kMutationSeed, i);
         const std::string input = mutate(text, eng);
+        const auto first_change = static_cast<std::size_t>(
+            std::mismatch(text.begin(), text.end(), input.begin(),
+                          input.end())
+                .first -
+            text.begin());
+        if (first_change >= caps_begin && first_change <= caps_end)
+            ++caps_mutated;
         try {
             std::istringstream is(input);
             const std::string again = saved_text(flow::load_stack(is));
@@ -514,6 +530,7 @@ TEST(CodecMutation, FlowFileMutationsLoadOrFailStructurally) {
     }
     EXPECT_GT(loaded, 0);
     EXPECT_GT(rejected, 0);
+    EXPECT_GT(caps_mutated, 0);
 }
 
 TEST_F(CodecServe, WireMutationsDecodeOrFailStructurally) {

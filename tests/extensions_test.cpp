@@ -4,14 +4,17 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/nofis.hpp"
 #include "estimators/line_sampling.hpp"
 #include "flow/serialize.hpp"
 #include "rng/normal.hpp"
+#include "testcases/registry.hpp"
 #include "testcases/synthetic.hpp"
 
 namespace {
@@ -290,6 +293,75 @@ TEST(Serialize, RejectsCorruptedInput) {
     std::string text = buffer.str();
     std::stringstream truncated(text.substr(0, text.size() / 2));
     EXPECT_THROW(flow::load_stack(truncated), std::runtime_error);
+}
+
+TEST(Serialize, RolledBackRunReloadsTheTrainedProposal) {
+    // Leaf seed 7 rolls one stage back, which tightens that block's scale
+    // caps; the saved file must carry them, or the reloaded proposal is
+    // not the one the run trained and estimated with.
+    const auto tc = testcases::make_case("Leaf");
+    const auto budget = tc->nofis_budget();
+    const auto cfg = testcases::nofis_config_from_budget(budget);
+    const core::NofisEstimator est(cfg,
+                                   core::LevelSchedule::manual(budget.levels));
+    rng::Engine eng(7);
+    const auto run = est.run(*tc, eng);
+    ASSERT_EQ(run.health.stage_retries, 1u);
+    const std::vector<double> caps = run.flow->scale_caps();
+    ASSERT_NE(caps.front(), caps.back());
+
+    std::stringstream buffer;
+    flow::save_stack(*run.flow, buffer);
+    const auto loaded = flow::load_stack(buffer);
+    EXPECT_EQ(loaded.scale_caps(), caps);
+
+    // log q of both stacks over a final IS's worth of proposal draws.
+    const std::size_t blocks = run.flow->num_blocks();
+    rng::Engine draws(77);
+    const auto s = run.flow->sample(draws, cfg.n_is, blocks);
+    const auto lq_trained = run.flow->log_prob(s.z, blocks);
+    const auto lq_loaded = loaded.log_prob(s.z, blocks);
+    ASSERT_EQ(lq_trained.size(), lq_loaded.size());
+    EXPECT_EQ(std::memcmp(lq_trained.data(), lq_loaded.data(),
+                          lq_trained.size() * sizeof(double)),
+              0);
+}
+
+TEST(Serialize, VersionOneFilesLoadWithUniformCaps) {
+    // A file from before the caps line: every affine layer takes the
+    // header's cap, and re-saving writes the current format.
+    const char* v1 =
+        "nofisflow-v1\n2 1 1 0.75 affine 1\n1 3\n6\n"
+        "1 2 0.5 -0.25\n1 2 0.125 0\n1 3 1 2 3\n1 3 0 0 0\n"
+        "3 2 0 0 0 0 0 0\n1 2 0 0\n";
+    std::istringstream is(v1);
+    const auto stack = flow::load_stack(is);
+    EXPECT_EQ(stack.scale_caps(), (std::vector<double>{0.0, 0.75}));
+    std::ostringstream os;
+    flow::save_stack(stack, os);
+    EXPECT_EQ(os.str().rfind("nofisflow-v2\n", 0), 0u);
+    EXPECT_NE(os.str().find("\n2 0 0.75\n"), std::string::npos) << os.str();
+}
+
+TEST(Serialize, ScaleCapLineIsValidated) {
+    // Two layers (an ActNorm and one coupling), so two caps.
+    const std::string head = "nofisflow-v2\n2 1 1 2 affine 1\n0\n";
+    const std::string params = "\n4\n1 2 0 0\n1 2 0 0\n1 2 0 0\n1 2 0 0\n";
+    std::istringstream good(head + "2 0 1.5" + params);
+    EXPECT_EQ(flow::load_stack(good).scale_caps(),
+              (std::vector<double>{0.0, 1.5}));
+    for (const char* caps : {"1 1.5", "3 0 1.5 1.5", "2 0 -1.5", "2 0 nan",
+                             "2 0 inf", "2 0", "99999999999999 0 1.5"}) {
+        std::istringstream is(head + caps + params);
+        try {
+            flow::load_stack(is);
+            ADD_FAILURE() << "loaded caps line '" << caps << "'";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("flow serialisation: ", 0),
+                      0u)
+                << e.what();
+        }
+    }
 }
 
 /// A temp-dir path unique to the running test and process, removed when

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "autodiff/gradcheck.hpp"
 #include "flow/coupling.hpp"
 #include "flow/coupling_stack.hpp"
+#include "linalg/kernels/kernels.hpp"
 #include "linalg/lu.hpp"
 #include "nn/optimizer.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/normal.hpp"
 
 namespace {
@@ -297,6 +302,204 @@ TEST(CouplingStack, TrainingShiftsDensityTowardTarget) {
     const auto s = stack.sample(eng2, 2000, 1);
     EXPECT_NEAR(s.z.col_means()(0, 0), 2.0, 0.35);
     EXPECT_NEAR(s.z.col_means()(0, 1), 2.0, 0.35);
+}
+
+// ---------------------------------------------------------------------------
+// The blocked value path against the layer-by-layer loop it replaced.
+// ---------------------------------------------------------------------------
+
+/// Restores the kernel flavour and the pool size on scope exit.
+class FlavourAndLanesGuard {
+public:
+    FlavourAndLanesGuard() : choice_(linalg::kernels::active()) {}
+    ~FlavourAndLanesGuard() {
+        linalg::kernels::set_choice(choice_);
+        parallel::set_num_threads(0);
+    }
+    FlavourAndLanesGuard(const FlavourAndLanesGuard&) = delete;
+    FlavourAndLanesGuard& operator=(const FlavourAndLanesGuard&) = delete;
+
+private:
+    linalg::kernels::Choice choice_;
+};
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           (a.size() == 0 ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// The value path as it ran before blocking: each layer over the whole
+/// batch in turn. Its layers mirror a stack's, built in the stack
+/// constructor's order, with the stack's parameters and scale caps copied
+/// in.
+class LayerByLayer {
+public:
+    explicit LayerByLayer(const CouplingStack& stack) {
+        const StackConfig& cfg = stack.config();
+        Engine eng(0);
+        for (std::size_t i = 0; i < cfg.num_blocks * cfg.layers_per_block;
+             ++i) {
+            if (cfg.use_actnorm)
+                layers_.push_back(std::make_unique<flow::ActNorm>(cfg.dim));
+            const bool first_half = (i % 2 == 0);
+            if (cfg.coupling == flow::CouplingKind::kAffine)
+                layers_.push_back(std::make_unique<AffineCoupling>(
+                    cfg.dim, first_half, cfg.hidden, eng, cfg.scale_cap));
+            else if (cfg.coupling == flow::CouplingKind::kRqs)
+                layers_.push_back(std::make_unique<flow::RqsCoupling>(
+                    cfg.dim, first_half, cfg.hidden, eng, cfg.rqs_bins,
+                    cfg.rqs_tail));
+            else
+                layers_.push_back(std::make_unique<flow::AdditiveCoupling>(
+                    cfg.dim, first_half, cfg.hidden, eng));
+        }
+        const auto from = stack.params();
+        std::size_t k = 0;
+        for (const auto& layer : layers_)
+            for (auto& p : layer->params()) p.mutable_value() = from[k++].value();
+        EXPECT_EQ(k, from.size());
+        const auto caps = stack.scale_caps();
+        for (std::size_t i = 0; i < layers_.size(); ++i)
+            layers_[i]->set_scale_cap(caps[i]);
+        per_block_ = layers_.size() / cfg.num_blocks;
+    }
+
+    Matrix transport_range(const Matrix& z0, std::size_t block_begin,
+                           std::size_t block_end,
+                           std::vector<double>& log_det) const {
+        Matrix z = z0;
+        for (std::size_t i = block_begin * per_block_;
+             i < block_end * per_block_; ++i)
+            z = layers_[i]->forward_values(z, log_det);
+        return z;
+    }
+
+    CouplingStack::Samples transport(const Matrix& z0,
+                                     std::size_t upto_block) const {
+        CouplingStack::Samples out;
+        std::vector<double> log_det(z0.rows(), 0.0);
+        out.z = transport_range(z0, 0, upto_block, log_det);
+        for (std::size_t r = 0; r < z0.rows(); ++r)
+            out.log_q.push_back(
+                rng::standard_normal_log_pdf(z0.row_span(r)) - log_det[r]);
+        return out;
+    }
+
+    Matrix inverse(const Matrix& x, std::size_t upto_block) const {
+        std::vector<double> scratch(x.rows(), 0.0);
+        Matrix z = x;
+        for (std::size_t i = upto_block * per_block_; i-- > 0;)
+            z = layers_[i]->inverse_values(z, scratch);
+        return z;
+    }
+
+    std::vector<double> log_prob(const Matrix& x,
+                                 std::size_t upto_block) const {
+        const Matrix z0 = inverse(x, upto_block);
+        std::vector<double> log_det(x.rows(), 0.0);
+        transport_range(z0, 0, upto_block, log_det);
+        std::vector<double> out;
+        for (std::size_t r = 0; r < x.rows(); ++r)
+            out.push_back(rng::standard_normal_log_pdf(z0.row_span(r)) -
+                          log_det[r]);
+        return out;
+    }
+
+private:
+    std::vector<std::unique_ptr<flow::FlowLayer>> layers_;
+    std::size_t per_block_ = 0;
+};
+
+TEST(FlowValuePath, BlockedMatchesLayerByLayer) {
+    FlavourAndLanesGuard guard;
+    for (const auto kind :
+         {flow::CouplingKind::kAffine, flow::CouplingKind::kAdditive,
+          flow::CouplingKind::kRqs})
+        for (const bool actnorm : {false, true}) {
+            StackConfig cfg = small_stack_config(5, 3, 2);
+            cfg.hidden = {8, 8};
+            cfg.coupling = kind;
+            cfg.use_actnorm = actnorm;
+            auto stack = randomized_stack(cfg, 70 + 2 * static_cast<int>(kind) +
+                                                   (actnorm ? 1 : 0));
+            // A stage rollback leaves per-layer caps that differ by block.
+            stack.tighten_scale_cap(1, 0.7);
+            const LayerByLayer ref(stack);
+            const std::string name = flow::coupling_kind_name(kind) +
+                                     (actnorm ? "+actnorm" : "");
+            for (const std::size_t n :
+                 {0ul, 1ul, 63ul, 64ul, 65ul, 128ul, 129ul, 2001ul}) {
+                Engine eng(900 + n);
+                const Matrix z0 = rng::standard_normal_matrix(eng, n, 5);
+                Matrix x = rng::standard_normal_matrix(eng, n, 5);
+                // Wide enough that some rows land in the spline tails.
+                for (double& v : x.flat()) v *= 2.0;
+                std::vector<double> ld_in(n);
+                for (double& v : ld_in) v = rng::standard_normal(eng);
+
+                for (const auto choice : {linalg::kernels::Choice::kScalar,
+                                          linalg::kernels::Choice::kSimd}) {
+                    linalg::kernels::set_choice(choice);
+                    parallel::set_num_threads(1);
+                    const auto want_t = ref.transport(z0, 3);
+                    std::vector<double> want_ld = ld_in;
+                    const Matrix want_r =
+                        ref.transport_range(z0, 1, 2, want_ld);
+                    const Matrix want_i = ref.inverse(x, 3);
+                    const auto want_lp = ref.log_prob(x, 3);
+                    for (const std::size_t lanes : {1ul, 3ul, 8ul}) {
+                        parallel::set_num_threads(lanes);
+                        const std::string at =
+                            name + " n=" + std::to_string(n) + " " +
+                            linalg::kernels::choice_name() +
+                            " lanes=" + std::to_string(lanes);
+                        const auto got_t = stack.transport(z0, 3);
+                        EXPECT_TRUE(same_bits(want_t.z, got_t.z)) << at;
+                        EXPECT_TRUE(same_bits(want_t.log_q, got_t.log_q))
+                            << at;
+                        std::vector<double> got_ld = ld_in;
+                        EXPECT_TRUE(same_bits(
+                            want_r, stack.transport_range(z0, 1, 2, got_ld)))
+                            << at;
+                        EXPECT_TRUE(same_bits(want_ld, got_ld)) << at;
+                        EXPECT_TRUE(same_bits(want_i, stack.inverse(x, 3)))
+                            << at;
+                        EXPECT_TRUE(same_bits(want_lp, stack.log_prob(x, 3)))
+                            << at;
+                    }
+                }
+            }
+        }
+}
+
+TEST(FlowValuePath, MismatchedShapesAreInvalidArguments) {
+    const auto stack = randomized_stack(small_stack_config(3, 2, 2), 80);
+    Engine eng(81);
+    const Matrix wide = rng::standard_normal_matrix(eng, 70, 4);
+    const Matrix z = rng::standard_normal_matrix(eng, 70, 3);
+    std::vector<double> ld(70, 0.0);
+    std::vector<double> short_ld(69, 0.0);
+    EXPECT_THROW(stack.transport(wide, 2), std::invalid_argument);
+    EXPECT_THROW(stack.transport_range(wide, 0, 2, ld), std::invalid_argument);
+    EXPECT_THROW(stack.transport_range(z, 0, 2, short_ld),
+                 std::invalid_argument);
+    // An empty block range checks its operands too.
+    EXPECT_THROW(stack.transport_range(wide, 1, 1, ld), std::invalid_argument);
+    EXPECT_THROW(stack.transport_range(z, 1, 1, short_ld),
+                 std::invalid_argument);
+    EXPECT_THROW(stack.inverse(wide, 2), std::invalid_argument);
+    EXPECT_THROW(stack.inverse(wide, 0), std::invalid_argument);
+    EXPECT_THROW(stack.log_prob(wide, 2), std::invalid_argument);
+    EXPECT_THROW(stack.log_prob(wide, 0), std::invalid_argument);
+    // The log-det vector is left as it was.
+    EXPECT_TRUE(same_bits(short_ld, std::vector<double>(69, 0.0)));
 }
 
 }  // namespace

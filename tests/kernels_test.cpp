@@ -559,7 +559,8 @@ void perturb(flow::FlowLayer& layer) {
 TEST(KernelDeterminism, CouplingValuesBitwiseAcrossFlavoursAndThreads) {
     ConfigGuard guard;
     rng::Engine eng(31);
-    // 160 rows: large enough to cross the affine/RQS parallel thresholds.
+    // 160 rows: the conditioners' 16 x 16 hidden layer crosses the dense fork
+    // threshold.
     const Matrix x = filled(160, 8, 7);
 
     flow::AffineCoupling affine(8, false, {16, 16}, eng, 2.0);
