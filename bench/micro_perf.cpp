@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "flow/stack_info.hpp"
 #include "linalg/kernels/kernels.hpp"
 #include "linalg/lu.hpp"
+#include "nn/optimizer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "photonic/ybranch.hpp"
 #include "rng/normal.hpp"
@@ -362,6 +364,85 @@ void BM_StackLogProb(benchmark::State& state) {
 BENCHMARK(BM_StackLogProb)
     ->ArgsProduct({{0, 1}, {64, 500, 2000}})
     ->Unit(benchmark::kMillisecond);
+
+// One training epoch of an estimate workload's last block, phase by
+// phase, on a trained-shaped stack at one lane. Arg 0 is the shape: 0 =
+// Leaf (D = 2, 6 blocks, 50 rows, as estimate-leaf), 1 = YBranch (D = 26,
+// 5 blocks, 20 rows, as estimate-ybranch); Arg 1 the kernel flavour. The
+// counters are microseconds per epoch: `prefix` carries the batch through
+// the frozen blocks on the value path, `forward` builds the trained
+// block's graph, `backward` sweeps it from the NOFIS loss (−mean log-det
+// minus a fixed target gradient injected by dot_constant) and `adam` is
+// the optimiser step.
+void BM_TrainEpochShape(benchmark::State& state) {
+    apply_kernel_arg(state.range(1));
+    parallel::set_num_threads(1);
+    const bool leaf = state.range(0) == 0;
+    const std::size_t rows = leaf ? 50 : 20;
+    auto stack = leaf ? trained_shaped_stack(2, 6)
+                      : trained_shaped_stack(26, 5);
+    const std::size_t last = stack.num_blocks() - 1;
+    stack.freeze_blocks_before(last);
+    nn::Adam opt(stack.block_params(last), 1e-4);
+    rng::Engine eng(8);
+    const auto z0 = rng::standard_normal_matrix(eng, rows, stack.dim());
+    const auto target = rng::standard_normal_matrix(eng, rows, stack.dim()) *
+                        (1.0 / static_cast<double>(rows));
+    std::vector<double> ld(rows);
+    using clock = std::chrono::steady_clock;
+    double us[4] = {0.0, 0.0, 0.0, 0.0};
+    auto lap = [&](clock::time_point& t, int phase) {
+        const auto now = clock::now();
+        us[phase] += std::chrono::duration<double, std::micro>(now - t).count();
+        t = now;
+    };
+    for (auto _ : state) {
+        auto t = clock::now();
+        std::fill(ld.begin(), ld.end(), 0.0);
+        const auto z_in = stack.transport_range(z0, 0, last, ld);
+        lap(t, 0);
+        const auto fwd =
+            stack.forward_range(autodiff::Var(z_in), last, last + 1);
+        const auto loss = autodiff::add(
+            autodiff::neg(autodiff::mean(fwd.log_det)),
+            autodiff::neg(autodiff::dot_constant(fwd.z, target)));
+        lap(t, 1);
+        opt.zero_grad();
+        loss.backward();
+        lap(t, 2);
+        opt.step();
+        lap(t, 3);
+    }
+    const char* names[] = {"prefix_us", "forward_us", "backward_us",
+                           "adam_us"};
+    for (int i = 0; i < 4; ++i)
+        state.counters[names[i]] =
+            benchmark::Counter(us[i], benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_TrainEpochShape)->ArgsProduct({{0, 1}, {0, 1}});
+
+// nn::Adam's step over the trained block of the shapes above (Arg 0: 0 =
+// Leaf, 9,488 parameters; 1 = YBranch, 18,896), Arg 1 the kernel flavour.
+// Items are parameters.
+void BM_AdamStep(benchmark::State& state) {
+    apply_kernel_arg(state.range(1));
+    auto stack = state.range(0) == 0 ? trained_shaped_stack(2, 6)
+                                     : trained_shaped_stack(26, 5);
+    const std::size_t last = stack.num_blocks() - 1;
+    const auto params = stack.block_params(last);
+    std::size_t count = 0;
+    for (auto p : params) {
+        // A gradient of the parameter's own scale, as after a backward.
+        p.zero_grad();
+        p.node()->grad = p.value() * 0.01;
+        count += p.value().size();
+    }
+    nn::Adam opt(params, 1e-4);
+    for (auto _ : state) opt.step();
+    state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_AdamStep)->ArgsProduct({{0, 1}, {0, 1}});
 
 // `.nofisflow` save and load through a string stream, so the disk stays
 // out: items are parameters.

@@ -1,6 +1,8 @@
 #include "autodiff/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "linalg/kernels/kernels.hpp"
@@ -11,6 +13,7 @@ namespace nofis::autodiff {
 namespace {
 
 using linalg::Matrix;
+namespace kernels = linalg::kernels;
 
 /// Creates the result node; wires parents; only installs `bw` when gradient
 /// flow is actually needed.
@@ -236,6 +239,134 @@ Var hadamard_const(const Var& a, const linalg::Matrix& c) {
     return make_op(a.value().hadamard(c), {pa}, [pa, c](Node& self) {
         accumulate(*pa, self.grad.hadamard(c));
     });
+}
+
+namespace {
+
+/// δ = ∂L/∂(x·W + b) from the node's gradient g for an activation other
+/// than kNone, per element as the elementwise ops compute it: tanh_v's
+/// g·(1 − y²), sigmoid_v's g·s·(1 − s), relu_v's mask on the
+/// pre-activation and leaky_relu_v's slope where y ≤ 0 (the output's sign
+/// is the pre-activation's, NaN included).
+Matrix activation_grad(const Matrix& g, const Matrix& y, const Matrix& pre,
+                       kernels::Act act) {
+    Matrix d(g.rows(), g.cols());
+    const std::size_t n = d.size();
+    const double* gp = g.data();
+    const double* yp = y.data();
+    double* dp = d.data();
+    switch (act) {
+        case kernels::Act::kNone:
+            break;
+        case kernels::Act::kTanh:
+            kernels::ew_tanh_bwd(yp, gp, dp, n);
+            break;
+        case kernels::Act::kSigmoid:
+            for (std::size_t i = 0; i < n; ++i)
+                dp[i] = gp[i] * yp[i] * (1.0 - yp[i]);
+            break;
+        case kernels::Act::kRelu:
+            for (std::size_t i = 0; i < n; ++i)
+                dp[i] = pre.data()[i] <= 0.0 ? 0.0 : gp[i];
+            break;
+        case kernels::Act::kLeakyRelu:
+            for (std::size_t i = 0; i < n; ++i)
+                dp[i] = yp[i] <= 0.0 ? gp[i] * 0.01 : gp[i];
+            break;
+    }
+    return d;
+}
+
+}  // namespace
+
+Var dense(const Var& x, const Var& w, const Var& b, kernels::Act act) {
+    if (x.cols() != w.rows())
+        throw std::invalid_argument("dense: inner dimension mismatch");
+    if (b.rows() != 1 || b.cols() != w.cols())
+        throw std::invalid_argument("dense: bias must be 1 x cols(W)");
+    auto px = x.node();
+    auto pw = w.node();
+    auto pb = b.node();
+    // ReLU's output is 0 where its pre-activation is NaN, so its backward
+    // keeps the pre-activation; every other derivative reads the output.
+    const bool keep_pre = act == kernels::Act::kRelu;
+    Matrix y = linalg::linear_act(px->value, pw->value, pb->value.flat(),
+                                  keep_pre ? kernels::Act::kNone : act);
+    Matrix pre;
+    if (keep_pre) {
+        pre = y;
+        for (double& v : y.flat()) v = v > 0.0 ? v : 0.0;
+    }
+    return make_op(std::move(y), {px, pw, pb},
+                   [px, pw, pb, act, pre = std::move(pre)](Node& self) {
+                       const bool linear = act == kernels::Act::kNone;
+                       const Matrix d_act =
+                           linear ? Matrix()
+                                  : activation_grad(self.grad, self.value,
+                                                    pre, act);
+                       const Matrix& d = linear ? self.grad : d_act;
+                       if (pb->requires_grad) accumulate(*pb, d.col_sums());
+                       if (px->requires_grad)
+                           accumulate(*px, d.matmul(pw->value.transposed()));
+                       if (pw->requires_grad)
+                           accumulate(*pw, px->value.transposed().matmul(d));
+                   });
+}
+
+AffineForward affine_forward(const Var& xb, const Var& h, double cap) {
+    const std::size_t n = xb.rows();
+    const std::size_t nb = xb.cols();
+    if (h.rows() != n || h.cols() != 2 * nb)
+        throw std::invalid_argument(
+            "affine_forward: conditioner shape mismatch");
+    auto px = xb.node();
+    auto ph = h.node();
+    // tanh(h_s) and e^s over compact n x nb buffers, through the same
+    // elementwise kernels and in the same order as the eight-op chain
+    // (select, tanh, scale, exp, mul, add); the backward reuses both.
+    Matrix th(n, nb);
+    for (std::size_t r = 0; r < n; ++r)
+        std::copy_n(ph->value.data() + r * 2 * nb, nb, th.data() + r * nb);
+    kernels::ew_tanh(th.data(), th.data(), th.size());
+    Matrix e(n, nb);
+    kernels::ew_scale(th.data(), cap, e.data(), e.size());
+    Matrix out(n, nb + 1);
+    for (std::size_t r = 0; r < n; ++r) {
+        double ld = 0.0;
+        for (std::size_t j = 0; j < nb; ++j) ld += e(r, j);
+        out(r, nb) = ld;
+    }
+    kernels::ew_exp(e.data(), e.data(), e.size());
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t j = 0; j < nb; ++j)
+            out(r, j) = px->value(r, j) * e(r, j) + ph->value(r, nb + j);
+
+    Var node = make_op(
+        std::move(out), {px, ph},
+        [px, ph, cap, th = std::move(th), e = std::move(e)](Node& self) {
+            const std::size_t n = th.rows();
+            const std::size_t nb = th.cols();
+            Matrix gx(n, nb);
+            Matrix gh(n, 2 * nb);
+            for (std::size_t r = 0; r < n; ++r) {
+                const double gld = self.grad(r, nb);
+                for (std::size_t j = 0; j < nb; ++j) {
+                    const double g = self.grad(r, j);
+                    const double ej = e(r, j);
+                    const double tj = th(r, j);
+                    gx(r, j) = g * ej;
+                    const double gs = g * px->value(r, j) * ej + gld;
+                    gh(r, j) = gs * cap * (1.0 - tj * tj);
+                    gh(r, nb + j) = g;
+                }
+            }
+            accumulate(*px, gx);
+            accumulate(*ph, gh);
+        });
+    std::vector<std::size_t> y_cols(nb);
+    std::iota(y_cols.begin(), y_cols.end(), std::size_t{0});
+    const std::size_t ld_col[] = {nb};
+    return {select_cols(node, y_cols), select_cols(node, ld_col)};
 }
 
 RqsForward rqs_forward(const Var& xb, const Var& h, std::size_t num_bins,

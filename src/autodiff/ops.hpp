@@ -40,7 +40,35 @@ Var square_v(const Var& a);
 /// Element-wise product with a constant (non-differentiated) matrix.
 Var hadamard_const(const Var& a, const linalg::Matrix& c);
 
-// --- fused coupling transforms -------------------------------------------------
+// --- fused nodes ---------------------------------------------------------------
+// One node where the tape used to chain elementwise ops (DESIGN.md §13.4).
+// Each forward is the kernel the value path runs, so tape and value path
+// agree bitwise; each backward keeps the chain's operation sequence per
+// element, so every gradient keeps its bits.
+
+/// Dense layer act(x·W + b) with b (1 x cols(W)): linalg::linear_act
+/// forward. The backward forms the activation derivative as tanh_v,
+/// sigmoid_v, relu_v and leaky_relu_v do (ReLU tests the pre-activation,
+/// so a NaN there passes its gradient), then b's gradient by col_sums, x's
+/// by δ·Wᵀ and W's by xᵀ·δ through Matrix::matmul. Act::kLeakyRelu has the
+/// kernels' slope, 0.01.
+Var dense(const Var& x, const Var& w, const Var& b, linalg::kernels::Act act);
+
+/// The affine coupling's transform (AffineCoupling::forward): with
+/// h = [h_s | h_t] (n x 2·nb) and s = cap·tanh(h_s), returns
+/// y = x_b ⊙ e^s + h_t (n x nb) and the per-row log|det J| = Σ_j s (n x 1),
+/// with kernels::affine_fwd_rows's values. Both outputs select from one
+/// node valued [y | log_det], whose one backward sees both upstream
+/// gradients and forms ∂/∂h_s = ((g·x_b·e^s + g_ld)·cap)·(1 − tanh²) as the
+/// eight-op chain did: a per-output backward would distribute the cap over
+/// the sum, which rounds differently. An output no loss reaches has a zero
+/// gradient, as with rqs_forward.
+struct AffineForward {
+    Var y;
+    Var log_det;
+};
+AffineForward affine_forward(const Var& xb, const Var& h, double cap);
+
 /// Differentiable monotone rational-quadratic spline transform (DESIGN.md
 /// §14). `xb` (n x nb) holds the transformed coordinates; `h`
 /// (n x nb·(3·num_bins+1)) the raw conditioner output, one param group per

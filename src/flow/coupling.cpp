@@ -1,6 +1,5 @@
 #include "flow/coupling.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "linalg/kernels/kernels.hpp"
@@ -23,23 +22,11 @@ FlowLayer::ForwardVar AffineCoupling::forward(const autodiff::Var& x) const {
     using namespace autodiff;
     if (x.cols() != mask_.dim)
         throw std::invalid_argument("AffineCoupling::forward: dim mismatch");
-    const std::size_t nb = mask_.transform.size();
-
     Var xa = select_cols(x, mask_.pass);
     Var xb = select_cols(x, mask_.transform);
     Var h = net_.forward(xa);
-
-    std::vector<std::size_t> s_idx(nb);
-    std::vector<std::size_t> t_idx(nb);
-    std::iota(s_idx.begin(), s_idx.end(), std::size_t{0});
-    std::iota(t_idx.begin(), t_idx.end(), nb);
-
-    Var s = scale(tanh_v(select_cols(h, s_idx)), scale_cap_);
-    Var t = select_cols(h, t_idx);
-
-    Var yb = add(mul(xb, exp_v(s)), t);
+    auto [yb, log_det] = affine_forward(xb, h, scale_cap_);
     Var y = combine_cols(xa, mask_.pass, yb, mask_.transform, mask_.dim);
-    Var log_det = row_sums(s);
     return {y, log_det};
 }
 

@@ -235,12 +235,12 @@ void dense_tile(const double* x, const double* w, const double* b, double* y,
     __m256d acc[R][NV];
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r)
-#pragma GCC unroll 2
+#pragma GCC unroll 4
         for (int m = 0; m < NV; ++m) acc[r][m] = _mm256_setzero_pd();
     for (std::size_t kk = 0; kk < in; ++kk) {
         const double* wp = w + kk * out + j;
         __m256d wv[NV];
-#pragma GCC unroll 2
+#pragma GCC unroll 4
         for (int m = 0; m < NV; ++m) {
             if constexpr (Masked)
                 wv[m] = _mm256_maskload_pd(wp, mask);
@@ -250,13 +250,13 @@ void dense_tile(const double* x, const double* w, const double* b, double* y,
 #pragma GCC unroll 4
         for (int r = 0; r < R; ++r) {
             const __m256d xv = _mm256_set1_pd(x[r * in + kk]);
-#pragma GCC unroll 2
+#pragma GCC unroll 4
             for (int m = 0; m < NV; ++m)
                 acc[r][m] =
                     _mm256_add_pd(acc[r][m], _mm256_mul_pd(xv, wv[m]));
         }
     }
-#pragma GCC unroll 2
+#pragma GCC unroll 4
     for (int m = 0; m < NV; ++m) {
         __m256d bv;
         if constexpr (Masked)
@@ -277,12 +277,17 @@ void dense_tile(const double* x, const double* w, const double* b, double* y,
 }
 
 /// Rows [0, R) of x/y, every column: 8-column tiles, then a 4-column
-/// tile, then a masked tile for the last 1–3 columns.
+/// tile, then a masked tile for the last 1–3 columns. A single row goes
+/// 16 columns at a time first: its four independent sums in flight keep
+/// the adds busy where a 4-row tile has eight.
 template <int R>
 void dense_rows(const double* x, const double* w, const double* b, double* y,
                 std::size_t in, std::size_t out, Act act) {
     const __m256i all = _mm256_set1_epi64x(-1);
     std::size_t j = 0;
+    if constexpr (R == 1)
+        for (; j + 16 <= out; j += 16)
+            dense_tile<1, 4, false>(x, w, b, y, in, out, j, act, all);
     for (; j + 8 <= out; j += 8)
         dense_tile<R, 2, false>(x, w, b, y, in, out, j, act, all);
     if (j + 4 <= out) {
@@ -392,6 +397,40 @@ void affine_rows_avx2(const double* in, const double* h,
     }
 }
 
+/// Adam four parameters at a time: each lane runs the scalar loop's
+/// sequence, division and square root included (both correctly rounded),
+/// and the last one to three parameters take the scalar loop itself.
+void adam_step_avx2(double* p, const double* g, double* m, double* v,
+                    std::size_t n, const AdamStep& c) {
+    const __m256d beta1 = _mm256_set1_pd(c.beta1);
+    const __m256d beta2 = _mm256_set1_pd(c.beta2);
+    const __m256d one_m_beta1 = _mm256_set1_pd(1.0 - c.beta1);
+    const __m256d one_m_beta2 = _mm256_set1_pd(1.0 - c.beta2);
+    const __m256d bias1 = _mm256_set1_pd(c.bias1);
+    const __m256d bias2 = _mm256_set1_pd(c.bias2);
+    const __m256d lr = _mm256_set1_pd(c.lr);
+    const __m256d eps = _mm256_set1_pd(c.eps);
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        const __m256d gk = _mm256_loadu_pd(g + k);
+        const __m256d mk =
+            _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + k)),
+                          _mm256_mul_pd(one_m_beta1, gk));
+        const __m256d vk = _mm256_add_pd(
+            _mm256_mul_pd(beta2, _mm256_loadu_pd(v + k)),
+            _mm256_mul_pd(_mm256_mul_pd(one_m_beta2, gk), gk));
+        _mm256_storeu_pd(m + k, mk);
+        _mm256_storeu_pd(v + k, vk);
+        const __m256d mhat = _mm256_div_pd(mk, bias1);
+        const __m256d vhat = _mm256_div_pd(vk, bias2);
+        const __m256d step =
+            _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                          _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+        _mm256_storeu_pd(p + k, _mm256_sub_pd(_mm256_loadu_pd(p + k), step));
+    }
+    scalar_table().adam_step(p + k, g + k, m + k, v + k, n - k, c);
+}
+
 }  // namespace
 
 const Table* avx2_table() {
@@ -408,6 +447,7 @@ const Table* avx2_table() {
         tab.ew_tanh = ew_tanh_avx2;
         tab.ew_exp = ew_exp_avx2;
         tab.ew_tanh_bwd = ew_tanh_bwd_avx2;
+        tab.adam_step = adam_step_avx2;
         return tab;
     }();
     return &t;

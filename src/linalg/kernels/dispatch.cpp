@@ -136,4 +136,9 @@ void ew_tanh_bwd(const double* y, const double* g, double* out,
     active_table().ew_tanh_bwd(y, g, out, n);
 }
 
+void adam_step(double* p, const double* g, double* m, double* v,
+               std::size_t n, const AdamStep& c) {
+    active_table().adam_step(p, g, m, v, n, c);
+}
+
 }  // namespace nofis::linalg::kernels

@@ -167,6 +167,29 @@ void rqs_bwd_rows(const double* xb, const double* h, std::size_t nb,
                   const double* gld, double* gx, double* gh, std::size_t r0,
                   std::size_t r1);
 
+// --- optimiser ---------------------------------------------------------------
+
+/// One Adam step's constants (nn::Adam): the moment decays β₁ and β₂, the
+/// bias corrections 1 − β₁ᵗ and 1 − β₂ᵗ, the learning rate and ε.
+struct AdamStep {
+    double beta1;
+    double beta2;
+    double bias1;
+    double bias2;
+    double lr;
+    double eps;
+};
+
+/// Adam's update of n parameters p from their gradients g and moments m, v,
+/// per element in this order and grouping:
+///   m = β₁·m + (1 − β₁)·g,   v = β₂·v + ((1 − β₂)·g)·g,
+///   p = p − (lr·(m / bias1)) / (√(v / bias2) + ε).
+/// IEEE division and square root are correctly rounded, so a vector form
+/// of the same sequence is bitwise the scalar loop; none may multiply by a
+/// reciprocal instead of dividing.
+void adam_step(double* p, const double* g, double* m, double* v,
+               std::size_t n, const AdamStep& c);
+
 // --- flat elementwise kernels (autodiff value & backward phases) -------------
 // `out` may alias `a` (in-place accumulate forms); n may be 0.
 

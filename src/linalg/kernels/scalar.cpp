@@ -126,6 +126,17 @@ void ew_tanh_bwd_scalar(const double* y, const double* g, double* out,
     for (std::size_t i = 0; i < n; ++i) out[i] = g[i] * (1.0 - y[i] * y[i]);
 }
 
+void adam_step_scalar(double* p, const double* g, double* m, double* v,
+                      std::size_t n, const AdamStep& c) {
+    for (std::size_t k = 0; k < n; ++k) {
+        m[k] = c.beta1 * m[k] + (1.0 - c.beta1) * g[k];
+        v[k] = c.beta2 * v[k] + (1.0 - c.beta2) * g[k] * g[k];
+        const double mhat = m[k] / c.bias1;
+        const double vhat = v[k] / c.bias2;
+        p[k] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+    }
+}
+
 }  // namespace
 
 const Table& scalar_table() {
@@ -141,6 +152,7 @@ const Table& scalar_table() {
         tab.ew_tanh = ew_tanh_scalar;
         tab.ew_exp = ew_exp_scalar;
         tab.ew_tanh_bwd = ew_tanh_bwd_scalar;
+        tab.adam_step = adam_step_scalar;
         return tab;
     }();
     return t;

@@ -123,12 +123,14 @@ const Table& portable_table() {
         tab.ew_tanh_bwd = ew_tanh_bwd_portable;
         // The scalar loops, not copies of them: each element is one
         // k_tanh/k_exp call, which leaves a portable loop nothing to
-        // vectorize (kernels.hpp).
+        // vectorize (kernels.hpp), and Adam's std::sqrt keeps errno, which
+        // stops the compiler from vectorizing its loop.
         const Table& scalar = scalar_table();
         tab.affine_fwd_rows = scalar.affine_fwd_rows;
         tab.affine_inv_rows = scalar.affine_inv_rows;
         tab.ew_tanh = scalar.ew_tanh;
         tab.ew_exp = scalar.ew_exp;
+        tab.adam_step = scalar.adam_step;
         return tab;
     }();
     return t;

@@ -32,6 +32,8 @@ struct Table {
     void (*ew_exp)(const double*, double*, std::size_t) = nullptr;
     void (*ew_tanh_bwd)(const double*, const double*, double*,
                         std::size_t) = nullptr;
+    void (*adam_step)(double*, const double*, double*, double*, std::size_t,
+                      const AdamStep&) = nullptr;
 };
 
 // Every table fills every slot. A backend points a slot at the scalar

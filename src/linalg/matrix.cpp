@@ -166,46 +166,12 @@ Matrix Matrix::hadamard(const Matrix& rhs) const {
 
 Matrix Matrix::matmul(const Matrix& rhs) const {
     if (cols_ != rhs.rows()) shape_error("matmul inner dimension");
-    Matrix out(rows_, rhs.cols_);
     // The dense-layer kernel with a zero bias and no activation, which
-    // leaves every bit of the product unchanged (kernels.hpp). It is
-    // dispatched (scalar reference or register-tiled SIMD) and never skips
-    // zero multipliers: 0·NaN must stay NaN so non-finite values in the rhs
-    // propagate to downstream all_finite() divergence checks.
+    // leaves every bit of the product unchanged (kernels.hpp). It never
+    // skips zero multipliers: 0·NaN must stay NaN so non-finite values in
+    // the rhs propagate to downstream all_finite() divergence checks.
     const std::vector<double> zero_bias(rhs.cols_, 0.0);
-    auto row_range = [&](std::size_t r0, std::size_t r1) {
-        kernels::linear_act_rows(data(), rhs.data(), zero_bias.data(),
-                                 out.data(), r0, r1, cols_, rhs.cols_,
-                                 kernels::Act::kNone);
-    };
-    // Row-tiled parallel kernel: every output row is produced by exactly one
-    // lane with the same inner loop and accumulation order as the serial
-    // path, so the product is bitwise identical at any thread count.
-    const std::size_t madds = rows_ * cols_ * rhs.cols_;
-    if (madds >= kernels::kParallelDenseMinOps) {
-        // Only the tiled path reports telemetry: the small conditioner
-        // products are far too frequent for a shared counter, and the
-        // tiled products are what the perf PRs optimise. Counting and
-        // timing touch nothing the kernel computes, so results are
-        // unchanged with telemetry on or off.
-        if (telemetry::RunTrace* tr = telemetry::active()) {
-            const auto t0 = std::chrono::steady_clock::now();
-            parallel::parallel_for(rows_, row_range);
-            const auto dt = std::chrono::steady_clock::now() - t0;
-            tr->add_counter("matmul.tiled_calls", 1);
-            tr->add_counter("matmul.tiled_madds", madds);
-            tr->add_counter(
-                "matmul.tiled_busy_us",
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(dt)
-                        .count()));
-        } else {
-            parallel::parallel_for(rows_, row_range);
-        }
-    } else {
-        row_range(0, rows_);
-    }
-    return out;
+    return linear_act(*this, rhs, zero_bias, kernels::Act::kNone);
 }
 
 Matrix Matrix::add_row_broadcast(const Matrix& bias) const {
@@ -293,6 +259,44 @@ std::string Matrix::to_string(int precision) const {
         os << (r + 1 == rows_ ? "]" : "\n");
     }
     return os.str();
+}
+
+Matrix linear_act(const Matrix& x, const Matrix& w,
+                  std::span<const double> bias, kernels::Act act) {
+    if (x.cols() != w.rows()) shape_error("linear_act inner dimension");
+    if (bias.size() != w.cols()) shape_error("linear_act bias length");
+    Matrix out(x.rows(), w.cols());
+    auto row_range = [&](std::size_t r0, std::size_t r1) {
+        kernels::linear_act_rows(x.data(), w.data(), bias.data(), out.data(),
+                                 r0, r1, x.cols(), w.cols(), act);
+    };
+    // Row-tiled parallel kernel: every output row is produced by exactly one
+    // lane with the same inner loop and accumulation order as the serial
+    // path, so the product is bitwise identical at any thread count.
+    const std::size_t madds = x.rows() * x.cols() * w.cols();
+    if (madds < kernels::kParallelDenseMinOps) {
+        row_range(0, x.rows());
+        return out;
+    }
+    // Only the tiled path reports telemetry: the small conditioner products
+    // are far too frequent for a shared counter, and the tiled products
+    // are what the perf PRs optimise. Counting and timing touch nothing the
+    // kernel computes, so results are unchanged with telemetry on or off.
+    telemetry::RunTrace* tr = telemetry::active();
+    if (tr == nullptr) {
+        parallel::parallel_for(x.rows(), row_range);
+        return out;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    parallel::parallel_for(x.rows(), row_range);
+    const auto dt = std::chrono::steady_clock::now() - t0;
+    tr->add_counter("matmul.tiled_calls", 1);
+    tr->add_counter("matmul.tiled_madds", madds);
+    tr->add_counter(
+        "matmul.tiled_busy_us",
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(dt).count()));
+    return out;
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "linalg/kernels/kernels.hpp"
+
 namespace nofis::linalg {
 
 /// Dense row-major matrix of doubles.
@@ -142,6 +144,16 @@ private:
     std::size_t cols_ = 0;
     std::vector<double> data_;
 };
+
+/// The dense layer over a whole matrix: act(x·W + b), one
+/// kernels::linear_act_rows call per row range, with `bias` one entry per
+/// column of W. Matrix::matmul is this with a zero bias and Act::kNone;
+/// the training tape's dense node and DeepNet62's network run it too.
+/// Products of at least kernels::kParallelDenseMinOps multiply-adds tile
+/// their rows over the pool, bitwise identical at any thread count (§8.2),
+/// and report the `matmul.tiled_*` counters.
+Matrix linear_act(const Matrix& x, const Matrix& w,
+                  std::span<const double> bias, kernels::Act act);
 
 /// Euclidean dot product of two equally-sized flat views.
 double dot(std::span<const double> a, std::span<const double> b);

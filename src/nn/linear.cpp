@@ -14,8 +14,9 @@ Linear::Linear(std::size_t in, std::size_t out, rng::Engine& eng, double gain)
     bias_ = autodiff::Var(linalg::Matrix(1, out), /*requires_grad=*/true);
 }
 
-autodiff::Var Linear::forward(const autodiff::Var& x) const {
-    return autodiff::add_bias(autodiff::matmul(x, weight_), bias_);
+autodiff::Var Linear::forward(const autodiff::Var& x,
+                              linalg::kernels::Act act) const {
+    return autodiff::dense(x, weight_, bias_, act);
 }
 
 }  // namespace nofis::nn

@@ -18,7 +18,10 @@ public:
     Linear(std::size_t in, std::size_t out, rng::Engine& eng,
            double gain = 1.0);
 
-    autodiff::Var forward(const autodiff::Var& x) const;
+    /// act(x·W + b) as one tape node (autodiff::dense).
+    autodiff::Var forward(
+        const autodiff::Var& x,
+        linalg::kernels::Act act = linalg::kernels::Act::kNone) const;
 
     std::size_t in_features() const noexcept { return in_; }
     std::size_t out_features() const noexcept { return out_; }

@@ -27,21 +27,6 @@ kernels::Act kernel_act(Activation act) {
     throw std::logic_error("kernel_act: unknown activation");
 }
 
-autodiff::Var apply_activation(const autodiff::Var& x, Activation act) {
-    switch (act) {
-        case Activation::kTanh:
-            return autodiff::tanh_v(x);
-        case Activation::kRelu:
-            return autodiff::relu_v(x);
-        case Activation::kLeakyRelu:
-            return autodiff::leaky_relu_v(x);
-        case Activation::kSigmoid:
-            return autodiff::sigmoid_v(x);
-        case Activation::kIdentity:
-            return x;
-    }
-    throw std::logic_error("apply_activation: unknown activation");
-}
 }  // namespace
 
 MLP::MLP(std::vector<std::size_t> layer_sizes, Activation act,
@@ -57,11 +42,11 @@ MLP::MLP(std::vector<std::size_t> layer_sizes, Activation act,
 }
 
 autodiff::Var MLP::forward(const autodiff::Var& x) const {
+    // One dense node per layer, whose forward is the kernel predict runs.
     autodiff::Var h = x;
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        h = layers_[i].forward(h);
-        if (i + 1 < layers_.size()) h = apply_activation(h, act_);
-    }
+    for (std::size_t i = 0; i < layers_.size(); ++i)
+        h = layers_[i].forward(h, i + 1 < layers_.size() ? kernel_act(act_)
+                                                         : kernels::Act::kNone);
     return h;
 }
 

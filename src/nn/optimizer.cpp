@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/kernels/kernels.hpp"
+
 namespace nofis::nn {
 
 double grad_explode_limit(double limit, double explode_factor) noexcept {
@@ -77,23 +79,20 @@ void Adam::import_state(const OptimizerState& state) {
 
 void Adam::step() {
     ++t_;
-    const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-    const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+    const linalg::kernels::AdamStep c{
+        beta1_,
+        beta2_,
+        1.0 - std::pow(beta1_, static_cast<double>(t_)),
+        1.0 - std::pow(beta2_, static_cast<double>(t_)),
+        lr_,
+        eps_};
     for (std::size_t i = 0; i < params_.size(); ++i) {
         auto& p = params_[i];
         if (!p.requires_grad() || p.grad().empty()) continue;
         auto& value = p.mutable_value();
-        const auto& g = p.grad();
-        for (std::size_t k = 0; k < value.size(); ++k) {
-            const double gk = g.flat()[k];
-            double& mk = m_[i].flat()[k];
-            double& vk = v_[i].flat()[k];
-            mk = beta1_ * mk + (1.0 - beta1_) * gk;
-            vk = beta2_ * vk + (1.0 - beta2_) * gk * gk;
-            const double mhat = mk / bias1;
-            const double vhat = vk / bias2;
-            value.flat()[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-        }
+        linalg::kernels::adam_step(value.data(), p.grad().data(),
+                                   m_[i].data(), v_[i].data(), value.size(),
+                                   c);
     }
 }
 

@@ -29,7 +29,11 @@ double task_label_sign(std::span<const double> f) {
     return v > 0.0 ? 1.0 : -1.0;
 }
 
-double leaky(double v) { return v > 0.0 ? v : 0.01 * v; }
+/// Leaky ReLU on the hidden layers; the last (logit) layer is linear.
+linalg::kernels::Act layer_act(std::size_t layer, std::size_t layers) {
+    return layer + 1 < layers ? linalg::kernels::Act::kLeakyRelu
+                              : linalg::kernels::Act::kNone;
+}
 
 }  // namespace
 
@@ -95,12 +99,12 @@ std::vector<linalg::Matrix> DeepNet62Case::perturbed_weights(
 
 double DeepNet62Case::metric_from_weights(
     const std::vector<linalg::Matrix>& w) const {
-    // Value-only forward pass: h = leaky(h W + b), final layer linear.
+    // Value-only forward pass: h = leaky(h W + b), final layer linear, one
+    // fused dense kernel per layer (the tape's dense node runs the same).
     linalg::Matrix h = eval_x_;
-    for (std::size_t l = 0; l < w.size(); ++l) {
-        h = h.matmul(w[l]).add_row_broadcast(biases_[l]);
-        if (l + 1 < w.size()) h = h.map(leaky);
-    }
+    for (std::size_t l = 0; l < w.size(); ++l)
+        h = linalg::linear_act(h, w[l], biases_[l].flat(),
+                               layer_act(l, w.size()));
     // Soft accuracy: mean sigmoid(κ · sign · logit).
     double acc = 0.0;
     for (std::size_t r = 0; r < kEvalPoints; ++r)
@@ -134,11 +138,9 @@ double DeepNet62Case::g_grad(std::span<const double> x,
     for (const auto& w : w_values) w_vars.emplace_back(w, true);
 
     Var h(eval_x_);
-    for (std::size_t l = 0; l < w_vars.size(); ++l) {
-        h = autodiff::add_bias(autodiff::matmul(h, w_vars[l]),
-                               Var(biases_[l]));
-        if (l + 1 < w_vars.size()) h = autodiff::leaky_relu_v(h);
-    }
+    for (std::size_t l = 0; l < w_vars.size(); ++l)
+        h = autodiff::dense(h, w_vars[l], Var(biases_[l]),
+                            layer_act(l, w_vars.size()));
     // metric = mean sigmoid(κ · sign ⊙ logits)
     Var margin = autodiff::hadamard_const(h, eval_sign_ * kSoftness);
     Var metric = autodiff::mean(autodiff::sigmoid_v(margin));

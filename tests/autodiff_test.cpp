@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <string>
 
 #include "autodiff/gradcheck.hpp"
 #include "autodiff/ops.hpp"
+#include "linalg/kernels/kernels.hpp"
+#include "parallel/thread_pool.hpp"
 #include "rng/normal.hpp"
 
 namespace {
@@ -328,6 +335,237 @@ TEST(RqsForward, ValidatesShapes) {
     EXPECT_THROW(rqs_forward(Var(Matrix(3, 3)), h, 4, 3.0),
                  std::invalid_argument);
     EXPECT_THROW(rqs_forward(xb, h, 0, 3.0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Fused nodes against the elementwise chains they replace
+// ---------------------------------------------------------------------------
+
+namespace kernels = nofis::linalg::kernels;
+namespace parallel = nofis::parallel;
+
+/// Element by element, the same bits or both NaN: a NaN's payload depends
+/// on which of two NaNs an addition keeps, and the chain and the fused
+/// node add a node's contributions in different orders.
+::testing::AssertionResult same_bits(const Matrix& want, const Matrix& got) {
+    if (want.rows() != got.rows() || want.cols() != got.cols())
+        return ::testing::AssertionFailure() << "shape differs";
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const double a = want.flat()[i];
+        const double b = got.flat()[i];
+        if (std::isnan(a) && std::isnan(b)) continue;
+        if (std::memcmp(&a, &b, sizeof a) != 0)
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << a << " vs " << b;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/// Upstream gradients: mixed signs with exact +0 and −0 sprinkled in.
+Matrix upstream(std::uint64_t seed, std::size_t r, std::size_t c) {
+    Matrix g = random_matrix(seed, r, c);
+    for (std::size_t i = 0; i < g.size(); i += 5)
+        g.flat()[i] = (i / 5) % 2 == 0 ? 0.0 : -0.0;
+    return g;
+}
+
+/// The dense layer as the tape built it before the fused node.
+Var composed_dense(const Var& x, const Var& w, const Var& b,
+                   kernels::Act act) {
+    const Var z = add_bias(matmul(x, w), b);
+    switch (act) {
+        case kernels::Act::kNone:
+            return z;
+        case kernels::Act::kTanh:
+            return tanh_v(z);
+        case kernels::Act::kRelu:
+            return relu_v(z);
+        case kernels::Act::kLeakyRelu:
+            return leaky_relu_v(z);
+        case kernels::Act::kSigmoid:
+            return sigmoid_v(z);
+    }
+    return z;
+}
+
+/// The affine transform as the eight ops AffineCoupling::forward chained
+/// before the fused node: {y_b, log_det}.
+AffineForward composed_affine(const Var& xb, const Var& h, double cap) {
+    const std::size_t nb = xb.cols();
+    std::vector<std::size_t> s_idx(nb);
+    std::vector<std::size_t> t_idx(nb);
+    std::iota(s_idx.begin(), s_idx.end(), std::size_t{0});
+    std::iota(t_idx.begin(), t_idx.end(), nb);
+    const Var s = scale(tanh_v(select_cols(h, s_idx)), cap);
+    const Var t = select_cols(h, t_idx);
+    return {add(mul(xb, exp_v(s)), t), row_sums(s)};
+}
+
+const std::size_t kOracleRows[] = {0, 1, 3, 4, 5, 50, 64, 65};
+const std::size_t kOracleWidths[] = {1, 2, 13, 32};
+
+/// Runs `body` under both kernel flavours at 1 and 3 lanes, then restores
+/// the defaults.
+template <typename Body>
+void for_each_flavour_and_lanes(Body&& body) {
+    const kernels::Choice before = kernels::active();
+    for (const kernels::Choice choice :
+         {kernels::Choice::kScalar, kernels::Choice::kSimd}) {
+        kernels::set_choice(choice);
+        for (const std::size_t lanes : {1ul, 3ul}) {
+            parallel::set_num_threads(lanes);
+            body(std::string(kernels::choice_name()) + " lanes=" +
+                 std::to_string(lanes));
+        }
+    }
+    kernels::set_choice(before);
+    parallel::set_num_threads(0);
+}
+
+TEST(Tape, FusedDenseMatchesComposedOps) {
+    using kernels::Act;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for_each_flavour_and_lanes([&](const std::string& where) {
+        for (const std::size_t rows : kOracleRows)
+            for (const std::size_t in : kOracleWidths)
+                for (const std::size_t out : kOracleWidths)
+                    for (const Act act : {Act::kNone, Act::kTanh, Act::kRelu,
+                                          Act::kLeakyRelu, Act::kSigmoid})
+                        for (const bool x_grad : {true, false}) {
+                            const std::uint64_t seed =
+                                1000 * rows + 10 * in + out;
+                            Matrix xv = random_matrix(seed, rows, in);
+                            // A NaN input row: NaN pre-activations, whose
+                            // ReLU output is 0 while the gradient passes.
+                            if (rows > 2)
+                                for (double& v : xv.row_span(2)) v = nan;
+                            const Matrix wv = random_matrix(seed + 1, in, out);
+                            const Matrix bv = random_matrix(seed + 2, 1, out);
+                            const Matrix gy = upstream(seed + 3, rows, out);
+                            const std::string label =
+                                where + " act=" +
+                                std::to_string(static_cast<int>(act)) + " " +
+                                std::to_string(rows) + "x" +
+                                std::to_string(in) + "x" +
+                                std::to_string(out) +
+                                (x_grad ? "" : " const-x");
+                            Var x0(xv, x_grad), w0(wv, true), b0(bv, true);
+                            Var x1(xv, x_grad), w1(wv, true), b1(bv, true);
+                            const Var y0 = composed_dense(x0, w0, b0, act);
+                            const Var y1 = dense(x1, w1, b1, act);
+                            ASSERT_TRUE(same_bits(y0.value(), y1.value()))
+                                << label;
+                            if (rows == 0) continue;
+                            dot_constant(y0, gy).backward();
+                            dot_constant(y1, gy).backward();
+                            EXPECT_TRUE(same_bits(w0.grad(), w1.grad()))
+                                << label << " dW";
+                            EXPECT_TRUE(same_bits(b0.grad(), b1.grad()))
+                                << label << " db";
+                            if (x_grad) {
+                                EXPECT_TRUE(same_bits(x0.grad(), x1.grad()))
+                                    << label << " dx";
+                            } else {
+                                EXPECT_TRUE(x1.grad().empty()) << label;
+                            }
+                        }
+    });
+}
+
+TEST(Tape, FusedDenseSkipsConstantBias) {
+    // DeepNet62's biases are constants: no gradient is formed for them.
+    Var x(random_matrix(1, 4, 3), true);
+    Var w(random_matrix(2, 3, 2), true);
+    Var b(random_matrix(3, 1, 2));
+    sum(dense(x, w, b, kernels::Act::kLeakyRelu)).backward();
+    EXPECT_TRUE(b.grad().empty());
+    EXPECT_FALSE(w.grad().empty());
+    EXPECT_THROW(dense(x, Var(Matrix(2, 2)), b, kernels::Act::kNone),
+                 std::invalid_argument);
+    EXPECT_THROW(dense(x, w, Var(Matrix(1, 3)), kernels::Act::kNone),
+                 std::invalid_argument);
+}
+
+TEST(Tape, FusedAffineMatchesComposedOps) {
+    // h_s walks tanh's branch point (0.625), its saturation beyond |h| = 20
+    // (where 1 − tanh² is 0) and both signs; one row of h is NaN.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double hs_values[] = {0.0,    -0.0,  0.3,   -0.6249999, 0.625,
+                                -0.625, 0.7,   -3.0,  19.9,       -20.5,
+                                40.0,   1e-300};
+    enum class Loss { kBoth, kYOnly, kLogDetOnly };
+    for_each_flavour_and_lanes([&](const std::string& where) {
+        for (const std::size_t rows : kOracleRows)
+            for (const std::size_t nb : kOracleWidths)
+                for (const double cap : {2.0, 1.4})
+                    for (const Loss loss :
+                         {Loss::kBoth, Loss::kYOnly, Loss::kLogDetOnly}) {
+                        const std::uint64_t seed = 100 * rows + nb;
+                        const Matrix xv = random_matrix(seed, rows, nb);
+                        Matrix hv = random_matrix(seed + 1, rows, 2 * nb);
+                        std::size_t k = 0;
+                        for (std::size_t r = 0; r < rows; ++r)
+                            for (std::size_t j = 0; j < nb; ++j, ++k)
+                                if (k % 3 != 2)
+                                    hv(r, j) = hs_values[k % 12];
+                        if (rows > 3)
+                            for (double& v : hv.row_span(3)) v = nan;
+                        const Matrix gy = upstream(seed + 2, rows, nb);
+                        const Matrix gld = upstream(seed + 3, rows, 1);
+                        const std::string label =
+                            where + " " + std::to_string(rows) + "x" +
+                            std::to_string(nb) + " cap=" +
+                            std::to_string(cap) + " loss=" +
+                            std::to_string(static_cast<int>(loss));
+                        Var x0(xv, true), h0(hv, true);
+                        Var x1(xv, true), h1(hv, true);
+                        const AffineForward f0 = composed_affine(x0, h0, cap);
+                        const AffineForward f1 = affine_forward(x1, h1, cap);
+                        ASSERT_TRUE(same_bits(f0.y.value(), f1.y.value()))
+                            << label;
+                        ASSERT_TRUE(
+                            same_bits(f0.log_det.value(), f1.log_det.value()))
+                            << label;
+                        if (rows == 0) continue;
+                        auto objective = [&](const AffineForward& f) {
+                            if (loss == Loss::kYOnly)
+                                return dot_constant(f.y, gy);
+                            if (loss == Loss::kLogDetOnly)
+                                return dot_constant(f.log_det, gld);
+                            return add(dot_constant(f.y, gy),
+                                       dot_constant(f.log_det, gld));
+                        };
+                        objective(f0).backward();
+                        objective(f1).backward();
+                        EXPECT_TRUE(same_bits(h0.grad(), h1.grad()))
+                            << label << " dh";
+                        // Without y in the loss the chain never reaches
+                        // x_b, while the fused node reads y's gradient as
+                        // zero, as rqs_forward does.
+                        if (loss != Loss::kLogDetOnly) {
+                            EXPECT_TRUE(same_bits(x0.grad(), x1.grad()))
+                                << label << " dx";
+                        }
+                    }
+    });
+}
+
+TEST(Tape, FusedAffineValuesMatchTheKernel) {
+    // The tape's forward gives the value path's bits (affine_fwd_rows).
+    const std::size_t n = 7;
+    const std::size_t nb = 3;
+    const Matrix xv = random_matrix(5, n, nb);
+    const Matrix hv = random_matrix(6, n, 2 * nb);
+    const AffineForward f = affine_forward(Var(xv), Var(hv), 1.5);
+    Matrix y = xv;
+    std::vector<double> ld(n, 0.0);
+    const std::size_t idx[] = {0, 1, 2};
+    kernels::affine_fwd_rows(xv.data(), hv.data(), idx, nb, 1.5, nb, y.data(),
+                             ld.data(), 0, n);
+    EXPECT_TRUE(same_bits(f.y.value(), y));
+    EXPECT_TRUE(same_bits(f.log_det.value(), Matrix::col(ld)));
+    EXPECT_THROW(affine_forward(Var(xv), Var(Matrix(n, nb)), 1.0),
+                 std::invalid_argument);
 }
 
 TEST(GradCheckHarness, DetectsWrongGradient) {

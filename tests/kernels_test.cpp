@@ -364,6 +364,71 @@ TEST(KernelProperty, ElementwiseBitwiseMatchesScalar) {
     }
 }
 
+/// nn::Adam::step's per-element update as it was written before it became
+/// a kernel slot: the oracle of the scalar loop.
+void adam_reference(std::vector<double>& p, const std::vector<double>& g,
+                    std::vector<double>& m, std::vector<double>& v,
+                    const kernels::AdamStep& c) {
+    for (std::size_t k = 0; k < p.size(); ++k) {
+        const double gk = g[k];
+        double& mk = m[k];
+        double& vk = v[k];
+        mk = c.beta1 * mk + (1.0 - c.beta1) * gk;
+        vk = c.beta2 * vk + (1.0 - c.beta2) * gk * gk;
+        const double mhat = mk / c.bias1;
+        const double vhat = vk / c.bias2;
+        p[k] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+    }
+}
+
+TEST(KernelProperty, AdamStepBitwiseMatchesScalar) {
+    // Gradients of every magnitude class (±0, subnormal, huge, ±inf, NaN)
+    // over lengths with every 4-lane remainder, at the first step and at a
+    // late one, where the bias corrections are near 1.
+    const double specials[] = {0.0,    -0.0,    4.9e-324, -1e-310, 1e300,
+                               -1e300, kInf,    -kInf,    kNaN,    1e-8};
+    for (const long t : {1L, 2L, 1000L}) {
+        const kernels::AdamStep c{0.9,
+                                  0.999,
+                                  1.0 - std::pow(0.9, static_cast<double>(t)),
+                                  1.0 - std::pow(0.999, static_cast<double>(t)),
+                                  5e-3,
+                                  1e-8};
+        for (std::size_t n : {0ul, 1ul, 3ul, 4ul, 5ul, 8ul, 17ul, 1024ul}) {
+            const Matrix p0 = filled(1, n, 11 * n + 1);
+            Matrix g0 = filled(1, n, 11 * n + 2, false, 0.5);
+            for (std::size_t k = 0; k < n; k += 3)
+                g0.flat()[k] = specials[(k / 3) % std::size(specials)];
+            const Matrix m0 = filled(1, n, 11 * n + 3, false, 0.1);
+            Matrix v0 = filled(1, n, 11 * n + 4, false, 0.1);
+            for (double& x : v0.flat()) x = x * x;
+
+            std::vector<double> p(p0.flat().begin(), p0.flat().end());
+            std::vector<double> m(m0.flat().begin(), m0.flat().end());
+            std::vector<double> v(v0.flat().begin(), v0.flat().end());
+            const std::vector<double> g(g0.flat().begin(), g0.flat().end());
+            adam_reference(p, g, m, v, c);
+
+            std::vector<std::pair<const detail::Table*, const char*>> tables =
+                backend_tables();
+            tables.emplace_back(&detail::scalar_table(), "scalar");
+            for (const auto& [table, name] : tables) {
+                std::vector<double> tp(p0.flat().begin(), p0.flat().end());
+                std::vector<double> tm(m0.flat().begin(), m0.flat().end());
+                std::vector<double> tv(v0.flat().begin(), v0.flat().end());
+                table->adam_step(tp.data(), g.data(), tm.data(), tv.data(), n,
+                                 c);
+                EXPECT_TRUE(bitwise_equal(p, tp))
+                    << name << " params n=" << n << " t=" << t;
+                EXPECT_TRUE(bitwise_equal(m, tm))
+                    << name << " m n=" << n << " t=" << t;
+                EXPECT_TRUE(bitwise_equal(v, tv))
+                    << name << " v n=" << n << " t=" << t;
+            }
+        }
+    }
+}
+
 /// Double with the given bit pattern (NaNs with a chosen sign and payload).
 double from_bits(std::uint64_t bits) {
     double d;
@@ -636,7 +701,8 @@ TEST(KernelDispatch, EveryTableIsComplete) {
             {t->ew_scale != nullptr, "ew_scale"},
             {t->ew_tanh != nullptr, "ew_tanh"},
             {t->ew_exp != nullptr, "ew_exp"},
-            {t->ew_tanh_bwd != nullptr, "ew_tanh_bwd"}};
+            {t->ew_tanh_bwd != nullptr, "ew_tanh_bwd"},
+            {t->adam_step != nullptr, "adam_step"}};
         for (const auto& [set, slot] : slots)
             EXPECT_TRUE(set) << name << " leaves " << slot << " null";
     }
